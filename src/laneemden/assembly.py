@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConfigError, DimensionError, MeshError
 from .mesh import Mesh
@@ -50,7 +49,10 @@ class QuadratureRule:
 
 def _conical_rule(degree: int) -> QuadratureRule:
     # Duffy/conical product: Gauss-Legendre x Gauss-Jacobi(1,0), positive
-    # weights, exact to the requested total degree.
+    # weights, exact to the requested total degree.  scipy.special is
+    # imported here because only degrees above 5 need it.
+    from scipy.special import roots_jacobi, roots_legendre
+
     k = (degree + 2) // 2
     tu, wu = roots_legendre(k)
     tu = 0.5 * (tu + 1.0)

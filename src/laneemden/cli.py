@@ -88,14 +88,11 @@ def _add_solver_flags(sp):
     sp.add_argument("--iters-fixed", type=int, default=None,
                     help="run exactly N descent steps (published protocol: 60)")
     sp.add_argument("--quotient-tol", type=float, default=1e-10)
-    sp.add_argument("--inner-tol", type=float, default=1e-12)
     sp.add_argument("--quad-degree", type=int, default=5)
     sp.add_argument("--scaling", choices=["lambda1", "unit-norm"], default="lambda1")
     sp.add_argument("--domain", default="unit-square",
                     help="unit-square or mesh:<path> to a coarse mesh file")
     sp.add_argument("--out-dir", default=".", help="output directory")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; computation is deterministic")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +129,6 @@ def _config_from_args(args) -> MinimizerConfig:
         eta=args.eta,
         max_iters=args.max_iters,
         quotient_tol=args.quotient_tol,
-        inner_tol=args.inner_tol,
         quad_degree=args.quad_degree,
         iters_fixed=args.iters_fixed,
     )
@@ -189,7 +185,7 @@ def _run(args) -> int:
         config = _config_from_args(args)
         mesh = _load_domain(args.domain, args.level)
         sol = solve_extremal(mesh, config)
-        report = nondegeneracy_gap(mesh, sol, args.p)
+        report = nondegeneracy_gap(mesh, sol, args.p, quad_degree=config.quad_degree)
         print(f"level {report.level}  p {report.p:g}  gap {report.gap:.6e}  "
               f"positive {report.positive}")
         return EXIT_OK if report.positive else EXIT_NUMERICAL
@@ -210,6 +206,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OSError as e:
         print(f"i/o failure: {e}", file=sys.stderr)
+        return EXIT_IO
+    except MeshError as e:
+        print(f"invalid mesh: {e}", file=sys.stderr)
         return EXIT_IO
     except LaneEmdenError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -24,12 +24,13 @@ class GapReport:
 
 
 def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
-                      tol: float = 1e-6) -> GapReport:
+                      tol: float = 1e-6, quad_degree: int = 5) -> GapReport:
     """Smallest eigenvalue of the linearized operator K - (p-1) W against K,
     constrained to the energy-orthogonal complement of the extremal.
 
     A positive gap is the discrete counterpart of non-degeneracy of the
-    minimizer; W is the mass matrix weighted by |U|^(p-2).
+    minimizer; W is the mass matrix weighted by |U|^(p-2), integrated with
+    the quadrature rule of degree quad_degree.
     """
     if solution.fixed_point_residual > RESIDUAL_PRECONDITION:
         raise ConfigError(
@@ -37,7 +38,7 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
             f"for a meaningful gap (need <= {RESIDUAL_PRECONDITION})"
         )
     K = assembly.assemble_stiffness(mesh)
-    W = assembly.assemble_weighted_mass(mesh, solution.field, p - 2.0)
+    W = assembly.assemble_weighted_mass(mesh, solution.field, p - 2.0, quad_degree)
     A = assembly.restrict_interior(K.add(W, -(p - 1.0)), mesh)
     B = assembly.restrict_interior(K, mesh)
     c = solution.field[mesh.interior]

@@ -267,13 +267,23 @@ def mesh_from_tokens(tokens: list[str], where: str = "<mesh>") -> Mesh:
     """Build a root mesh from the whitespace-split text format tokens."""
     if len(tokens) < 2:
         raise MeshError(f"{where}: truncated mesh data")
-    nv, nt = int(tokens[0]), int(tokens[1])
+    try:
+        nv, nt = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise MeshError(f"{where}: bad header {' '.join(tokens[:2])!r}") from None
+    if nv < 3 or nt < 1:
+        raise MeshError(f"{where}: header needs nv >= 3 and nt >= 1, got {nv} {nt}")
     need = 2 + 3 * nv + 3 * nt
     if len(tokens) < need:
         raise MeshError(f"{where}: expected {need} tokens, got {len(tokens)}")
     body = tokens[2:need]
-    vdata = np.array(body[: 3 * nv], dtype=np.float64).reshape(nv, 3)
-    tdata = np.array(body[3 * nv:], dtype=np.int64).reshape(nt, 3)
+    try:
+        vdata = np.array(body[: 3 * nv], dtype=np.float64).reshape(nv, 3)
+        tdata = np.array(body[3 * nv:], dtype=np.int64).reshape(nt, 3)
+    except ValueError as e:
+        raise MeshError(f"{where}: malformed token ({e})") from None
+    if tdata.min() < 0 or tdata.max() >= nv:
+        raise MeshError(f"{where}: triangle vertex index outside [0, {nv})")
     mesh = Mesh(
         level=0,
         vertices=vdata[:, :2].copy(),

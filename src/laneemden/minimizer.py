@@ -7,6 +7,7 @@ iterate is rescaled so the Euler-Lagrange multiplier equals 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -15,7 +16,7 @@ import numpy as np
 from . import assembly
 from .errors import ConfigError, NumericsError
 from .mesh import Mesh
-from .sparse import SparseOperator, cg_solve
+from .sparse import SparseOperator, factor
 
 DEGENERATE_NORM = 1e-14
 
@@ -29,18 +30,18 @@ class MinimizerConfig:
     max_iters: int = 400
     quotient_tol: float = 1e-10
     residual_tol: float = 1e-8
-    inner_tol: float = 1e-12
     quad_degree: int = 5
     iters_fixed: Optional[int] = None  # paper-protocol mode: exactly N steps
 
     def __post_init__(self):
-        if self.p <= 2:
-            raise ConfigError(f"p must be > 2, got {self.p}")
-        if not (0 < self.eta < 1):
+        # Comparisons are written so that NaN fails them.
+        if not 2 < self.p < math.inf:
+            raise ConfigError(f"p must be finite and > 2, got {self.p}")
+        if not 0 < self.eta < 1:
             raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
-        for name in ("quotient_tol", "residual_tol", "inner_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        for name in ("quotient_tol", "residual_tol"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if self.iters_fixed is not None and self.iters_fixed < 1:
@@ -61,7 +62,7 @@ class ExtremalSolution:
 
 
 class _Workspace:
-    """Per-mesh operators shared across descent steps."""
+    """Per-mesh operators shared across descent steps; interior stiffness factored once."""
 
     def __init__(self, mesh: Mesh, config: MinimizerConfig):
         if mesh.interior.size == 0:
@@ -69,8 +70,8 @@ class _Workspace:
         self.mesh = mesh
         self.config = config
         self.K = assembly.assemble_stiffness(mesh)
-        self.K_int = assembly.restrict_interior(self.K, mesh)
         self.interior = mesh.interior
+        self.solve = factor(assembly.restrict_interior(self.K, mesh))
 
 
 def initial_guess(mesh: Mesh, p: float, quad_degree: int = 5) -> np.ndarray:
@@ -96,13 +97,26 @@ def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5,
 
 def _normalize(ws: _Workspace, u: np.ndarray) -> np.ndarray:
     norm = assembly.lp_norm(ws.mesh, u, ws.config.p, ws.config.quad_degree)
-    if norm < DEGENERATE_NORM:
-        raise NumericsError("degenerate iterate: vanishing L^p norm")
+    if not norm >= DEGENERATE_NORM:  # also catches a NaN or infinite norm
+        raise NumericsError(f"degenerate iterate: L^p norm {norm:.3e}")
     return u / norm
 
 
-def _step(ws: _Workspace, u: np.ndarray, w0: Optional[np.ndarray] = None):
-    """One descent + renormalization step; returns (u_next, w_interior).
+def _evaluate(ws: _Workspace, u: np.ndarray):
+    """Energy u'Ku, load F(u) and fixed-point residual of a unit-norm iterate."""
+    Ku = ws.K.matvec(u)
+    energy = float(u @ Ku)
+    F = assembly.nonlinear_load(ws.mesh, u, ws.config.p, ws.config.quad_degree)
+    # With |u|_p = 1 the multiplier-1 scale s satisfies s^(p-2) = energy,
+    # and the scaled residual reduces to |Ku - energy F| / (energy |F|).
+    r = Ku[ws.interior] - energy * F[ws.interior]
+    denom = energy * float(np.linalg.norm(F[ws.interior]))
+    residual = float(np.linalg.norm(r)) / denom if denom > 0 else np.inf
+    return energy, F, residual
+
+
+def _step(ws: _Workspace, u: np.ndarray, energy: float, F: np.ndarray) -> np.ndarray:
+    """One descent + renormalization step from u, its energy u'Ku and load F(u).
 
     The gradient is evaluated on the multiplier-1 rescaling s u of the
     unit-norm iterate (s^(p-2) = u'Ku when |u|_p = 1), which keeps the
@@ -111,37 +125,18 @@ def _step(ws: _Workspace, u: np.ndarray, w0: Optional[np.ndarray] = None):
     the raw unit-norm iterate contracts only at a rate ~ eta / energy and
     cannot finish in the published iteration budget.
     """
-    cfg = ws.config
-    energy = float(u @ ws.K.matvec(u))
-    F = assembly.nonlinear_load(ws.mesh, u, cfg.p, cfg.quad_degree)
-    w_int, _ = cg_solve(ws.K_int, F[ws.interior], tol=cfg.inner_tol, x0=w0)
-    w = assembly.extend_zero(w_int, ws.mesh)
-    u_next = u - cfg.eta * (u - energy * w)
-    return _normalize(ws, u_next), w_int
+    w = assembly.extend_zero(ws.solve(F[ws.interior]), ws.mesh)
+    u_next = u - ws.config.eta * (u - energy * w)
+    return _normalize(ws, u_next)
 
 
 def descent_step(mesh: Mesh, u: np.ndarray, config: MinimizerConfig) -> np.ndarray:
     """Single normalized gradient-descent step (u must have unit L^p norm)."""
     if config.eta == 0.0:
         return np.array(u, dtype=np.float64)
-    next_u, _ = _step(_Workspace(mesh, config), u)
-    return next_u
-
-
-def _lambda1_state(ws: _Workspace, u: np.ndarray):
-    """Quotient, multiplier-1 scale, and fixed-point residual of a unit-norm iterate."""
-    cfg = ws.config
-    Ku = ws.K.matvec(u)
-    energy = float(u @ Ku)
-    quotient = np.sqrt(energy)
-    F = assembly.nonlinear_load(ws.mesh, u, cfg.p, cfg.quad_degree)
-    # With |u|_p = 1 the multiplier-1 scale s satisfies s^(p-2) = energy,
-    # and the scaled residual reduces to |Ku - energy F| / (energy |F|).
-    r = Ku[ws.interior] - energy * F[ws.interior]
-    denom = energy * float(np.linalg.norm(F[ws.interior]))
-    residual = float(np.linalg.norm(r)) / denom if denom > 0 else np.inf
-    scale = energy ** (1.0 / (cfg.p - 2.0))
-    return quotient, scale, residual
+    ws = _Workspace(mesh, config)
+    energy, F, _ = _evaluate(ws, u)
+    return _step(ws, u, energy, F)
 
 
 def solve_extremal(mesh: Mesh, config: MinimizerConfig,
@@ -159,15 +154,16 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     else:
         u = _normalize(ws, np.asarray(u0, dtype=np.float64))
 
-    quotient, scale, residual = _lambda1_state(ws, u)
+    energy, F, residual = _evaluate(ws, u)
+    quotient = np.sqrt(energy)
     converged = False
     iterations = 0
-    w_int = None
     for k in range(1, config.max_iters + 1):
-        u, w_int = _step(ws, u, w0=w_int)
+        u = _step(ws, u, energy, F)
         iterations = k
         prev = quotient
-        quotient, scale, residual = _lambda1_state(ws, u)
+        energy, F, residual = _evaluate(ws, u)
+        quotient = np.sqrt(energy)
         if config.iters_fixed is not None:
             if k >= config.iters_fixed:
                 converged = True
@@ -177,7 +173,7 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
             converged = True
             break
 
-    field = scale * u
+    field = energy ** (1.0 / (config.p - 2.0)) * u  # multiplier-1 scale s u
     if field.sum() < 0.0:  # resolve the +-U dichotomy to the positive branch
         field = -field
         u = -u

@@ -107,7 +107,8 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
         if (meshes[j - 1].interior.size >= 2
                 and meshes[j - 1].level <= gap_max_level
                 and sol.fixed_point_residual <= diagnostics.RESIDUAL_PRECONDITION):
-            gap = diagnostics.nondegeneracy_gap(meshes[j - 1], sol, p).gap
+            gap = diagnostics.nondegeneracy_gap(
+                meshes[j - 1], sol, p, quad_degree=config.quad_degree).gap
         rows.append(RateRow(
             j=j,
             h_label=2.0 ** -j,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from laneemden import assembly
 from laneemden.mesh import Mesh
 
 
@@ -17,3 +18,17 @@ def reference_triangle() -> Mesh:
         parent_nv=0,
         h=np.sqrt(2.0),
     )
+
+
+@pytest.fixture
+def weighted_mass_degrees(monkeypatch) -> list:
+    """Quadrature degree of every assemble_weighted_mass call, in call order."""
+    degrees = []
+    real = assembly.assemble_weighted_mass
+
+    def spy(mesh, w, exponent, degree=5):
+        degrees.append(degree)
+        return real(mesh, w, exponent, degree)
+
+    monkeypatch.setattr(assembly, "assemble_weighted_mass", spy)
+    return degrees

@@ -18,6 +18,15 @@ def test_usage_error_on_bad_p(tmp_path):
                  "--out-dir", str(tmp_path)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", ["--p", "--quotient-tol"])
+def test_usage_error_on_nan_value(tmp_path, capsys, flag):
+    args = ["study", "--levels", "2", "--iters-fixed", "5", flag, "nan",
+            "--out-dir", str(tmp_path)]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "nan" in err
+
+
 def test_usage_error_on_unknown_flag():
     with pytest.raises(SystemExit) as err:
         main(["study", "--no-such-flag"])
@@ -33,6 +42,26 @@ def test_io_error_on_missing_mesh(tmp_path):
     assert main(["solve", "--p", "4", "--level", "0",
                  "--domain", f"mesh:{tmp_path}/nope.mesh",
                  "--out-dir", str(tmp_path)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("text", [
+    "three one\n0 0 1\n1 0 1\n0 1 1\n0 1 2\n",   # bad header
+    "3 1\n0 0 1\n1 zero 1\n0 1 1\n0 1 2\n",    # bad coordinate token
+    "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 3\n",       # vertex index out of range
+], ids=["header", "token", "index"])
+def test_io_error_on_malformed_mesh(tmp_path, capsys, text):
+    path = tmp_path / "bad.mesh"
+    path.write_text(text)
+    code = main(["solve", "--p", "4", "--level", "1", "--domain", f"mesh:{path}",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_IO
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_diagnose_passes_quad_degree_to_gap(tmp_path, weighted_mass_degrees):
+    assert main(["diagnose", "--p", "4", "--level", "2", "--quad-degree", "7",
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert weighted_mass_degrees == [7]
 
 
 def test_solve_writes_solution(tmp_path, capsys):

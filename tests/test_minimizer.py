@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from laneemden import assembly
-from laneemden.errors import ConfigError
+from laneemden import assembly, minimizer, sparse
+from laneemden.errors import ConfigError, NumericsError
 from laneemden.mesh import build_unit_square, prolongate, refine_uniform
 from laneemden.minimizer import (
     MinimizerConfig,
@@ -24,6 +24,10 @@ def test_config_validation():
         MinimizerConfig(p=4.0, max_iters=0)
     with pytest.raises(ConfigError):
         MinimizerConfig(p=4.0, iters_fixed=0)
+    for bad in ({"p": np.nan}, {"p": np.inf}, {"eta": np.nan},
+                {"quotient_tol": np.nan}, {"residual_tol": np.nan}):
+        with pytest.raises(ConfigError):
+            MinimizerConfig(**{"p": 4.0, **bad})
 
 
 @pytest.mark.parametrize("level", [1, 2, 4])
@@ -245,3 +249,29 @@ def test_iters_fixed_runs_exact_count():
     sol = solve_extremal(m, cfg)
     assert sol.iterations == 7
     assert sol.converged
+
+
+def test_nan_start_raises_numerics_error():
+    m = build_unit_square(2)
+    u0 = np.full(m.n_vertices, np.nan)
+    with pytest.raises(NumericsError):
+        solve_extremal(m, MinimizerConfig(p=4.0), u0=u0)
+
+
+def test_one_factorization_and_no_krylov_solve_per_level(monkeypatch):
+    calls = {"factor": 0, "pcg": 0}
+    real_factor, real_pcg = minimizer.factor, sparse._pcg
+
+    def counting_factor(A):
+        calls["factor"] += 1
+        return real_factor(A)
+
+    def counting_pcg(*args, **kwargs):
+        calls["pcg"] += 1
+        return real_pcg(*args, **kwargs)
+
+    monkeypatch.setattr(minimizer, "factor", counting_factor)
+    monkeypatch.setattr(sparse, "_pcg", counting_pcg)
+    sol = solve_extremal(build_unit_square(3), MinimizerConfig(p=4.0))
+    assert sol.converged and sol.iterations > 1
+    assert calls == {"factor": 1, "pcg": 0}

@@ -15,6 +15,7 @@ from laneemden.sparse import (
     CgFailure,
     SparseOperator,
     cg_solve,
+    factor,
     smallest_eig_constrained,
 )
 
@@ -134,6 +135,15 @@ def test_cg_dimension_mismatch():
     A = SparseOperator.from_dense(np.eye(3))
     with pytest.raises(DimensionError):
         cg_solve(A, np.ones(4))
+
+
+def test_factor_matches_dense_solve():
+    mesh = build_unit_square(3)
+    K_int = restrict_interior(assemble_stiffness(mesh), mesh)
+    b = np.random.default_rng(5).standard_normal(K_int.n)
+    x = factor(K_int)(b)
+    oracle = np.linalg.solve(K_int.toarray(), b)
+    assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_eig_identity_pair():

@@ -135,3 +135,9 @@ def test_gap_column_policy():
     # level-1 row has a single interior vertex: no gap; later rows have one
     assert rows[0].gap is None
     assert rows[1].gap is not None and rows[1].gap > 0.0
+
+
+def test_run_study_passes_quad_degree_to_gap(weighted_mass_degrees):
+    rows = run_study(4.0, 2, MinimizerConfig(p=4.0, quad_degree=7))
+    assert [r.gap is not None for r in rows] == [False, True]
+    assert weighted_mass_degrees == [7]
