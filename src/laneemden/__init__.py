@@ -13,7 +13,7 @@ from .assembly import (
     restrict_interior,
     triangle_rule,
 )
-from .diagnostics import GapReport, linf_norm, nondegeneracy_gap
+from .diagnostics import GapReport, nondegeneracy_gap
 from .errors import (
     ConfigError,
     DimensionError,
@@ -53,7 +53,7 @@ __all__ = [
     "NumericsError", "QuadratureRule", "RateRow", "SparseOperator",
     "assemble_mass", "assemble_stiffness", "assemble_weighted_mass",
     "build_unit_square", "cg_solve", "descent_step", "extend_zero",
-    "initial_guess", "inter_level_error", "linf_norm", "lp_norm",
+    "initial_guess", "inter_level_error", "lp_norm",
     "nondegeneracy_gap", "nonlinear_load", "observed_rate",
     "poisson_center_value", "poisson_rate_study", "prolongate",
     "rayleigh_quotient", "read_mesh", "refine_uniform", "restrict_interior",

@@ -11,11 +11,10 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, MeshError
+from .errors import ConfigError, DimensionError
 from .mesh import Mesh
 from .sparse import SparseOperator
 
-MIN_AREA = 1e-14
 MAX_QUAD_DEGREE = 20
 
 # Classical symmetric 7-point rule, exact to degree 5 (Radon/Hammer).
@@ -81,25 +80,6 @@ def triangle_rule(degree: int = 5) -> QuadratureRule:
     return _conical_rule(degree)
 
 
-def _geometry(mesh: Mesh):
-    """Per-triangle areas and P1 basis gradients (nt, 3, 2)."""
-    p = mesh.vertices
-    t = mesh.triangles
-    e1 = p[t[:, 1]] - p[t[:, 0]]
-    e2 = p[t[:, 2]] - p[t[:, 0]]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    area = 0.5 * det
-    if np.any(area < MIN_AREA):
-        raise MeshError(f"degenerate triangle (min area {area.min():.3e})")
-    grads = np.empty((t.shape[0], 3, 2))
-    grads[:, 1, 0] = e2[:, 1] / det
-    grads[:, 1, 1] = -e2[:, 0] / det
-    grads[:, 2, 0] = -e1[:, 1] / det
-    grads[:, 2, 1] = e1[:, 0] / det
-    grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return area, grads
-
-
 def _scatter(mesh: Mesh, local: np.ndarray) -> SparseOperator:
     t = mesh.triangles
     rows = np.repeat(t, 3, axis=1).ravel()
@@ -107,16 +87,22 @@ def _scatter(mesh: Mesh, local: np.ndarray) -> SparseOperator:
     return SparseOperator.from_coo(mesh.n_vertices, rows, cols, local.ravel())
 
 
+def _scatter_vector(mesh: Mesh, local: np.ndarray) -> np.ndarray:
+    # bincount adds in triangle index order, like the matrix scatter
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.n_vertices)
+
+
 def assemble_stiffness(mesh: Mesh) -> SparseOperator:
     """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j)."""
-    area, grads = _geometry(mesh)
+    area, grads = mesh.geometry
     local = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
     return _scatter(mesh, local)
 
 
 def assemble_mass(mesh: Mesh) -> SparseOperator:
     """Consistent mass matrix; local block (area/12) [[2,1,1],[1,2,1],[1,1,2]]."""
-    area, _ = _geometry(mesh)
+    area, _ = mesh.geometry
     block = (np.ones((3, 3)) + np.eye(3)) / 12.0
     local = area[:, None, None] * block
     return _scatter(mesh, local)
@@ -130,7 +116,7 @@ def assemble_weighted_mass(
         raise ConfigError(f"exponent must be >= 0, got {exponent}")
     w = _check_field(mesh, w)
     rule = triangle_rule(degree)
-    area, _ = _geometry(mesh)
+    area, _ = mesh.geometry
     lam = rule.points                     # (nq, 3)
     wq = w[mesh.triangles] @ lam.T        # (nt, nq)
     fac = rule.weights * np.abs(wq) ** exponent  # 0**0 == 1, so exponent 0 gives mass
@@ -144,28 +130,24 @@ def nonlinear_load(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> np.n
         raise ConfigError(f"p must be > 2, got {p}")
     u = _check_field(mesh, u)
     rule = triangle_rule(degree)
-    area, _ = _geometry(mesh)
+    area, _ = mesh.geometry
     lam = rule.points
     uq = u[mesh.triangles] @ lam.T
     fq = np.abs(uq) ** (p - 2.0) * uq
     local = area[:, None] * ((rule.weights * fq) @ lam)   # (nt, 3)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.triangles.ravel(), local.ravel())
-    return out
+    return _scatter_vector(mesh, local)
 
 
 def load_vector(mesh: Mesh, f, degree: int = 5) -> np.ndarray:
     """Load vector of a coordinate function f(x, y) (for linear problems)."""
     rule = triangle_rule(degree)
-    area, _ = _geometry(mesh)
+    area, _ = mesh.geometry
     lam = rule.points
     coords = mesh.vertices[mesh.triangles]                 # (nt, 3, 2)
     xq = np.einsum("qk,tkd->tqd", lam, coords)             # (nt, nq, 2)
     fq = f(xq[..., 0], xq[..., 1])
     local = area[:, None] * ((rule.weights * fq) @ lam)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.triangles.ravel(), local.ravel())
-    return out
+    return _scatter_vector(mesh, local)
 
 
 def lp_norm(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> float:
@@ -174,7 +156,7 @@ def lp_norm(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> float:
         raise ConfigError(f"p must be positive, got {p}")
     u = _check_field(mesh, u)
     rule = triangle_rule(degree)
-    area, _ = _geometry(mesh)
+    area, _ = mesh.geometry
     uq = u[mesh.triangles] @ rule.points.T
     total = float(area @ (np.abs(uq) ** p @ rule.weights))
     return total ** (1.0 / p)

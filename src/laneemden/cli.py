@@ -58,14 +58,23 @@ def import_solution(path):
         lines = Path(path).read_text().splitlines()
     except OSError as e:
         raise OSError(f"cannot read solution from {path}: {e}") from e
-    nv, nt = (int(tok) for tok in lines[0].split())
+    if not lines:
+        raise MeshError(f"{path}: empty file")
+    try:
+        nv, nt = (int(tok) for tok in lines[0].split())
+    except ValueError:
+        raise MeshError(f"{path}: bad header {lines[0]!r}") from None
     header = 1 + nv + nt
+    # Parsed first: it rejects counts that would make `header` index nonsense.
+    mesh = mesh_from_tokens(" ".join(lines[:header]).split(), where=str(path))
     if len(lines) <= header or lines[header].strip() != "values":
         raise MeshError(f"{path}: missing `values` section")
-    values = np.array([float(s) for s in lines[header + 1: header + 1 + nv]])
+    try:
+        values = np.array([float(s) for s in lines[header + 1: header + 1 + nv]])
+    except ValueError:
+        raise MeshError(f"{path}: malformed value in `values` section") from None
     if values.size != nv:
         raise MeshError(f"{path}: expected {nv} values")
-    mesh = mesh_from_tokens(" ".join(lines[:header]).split(), where=str(path))
     return mesh, values
 
 
@@ -160,6 +169,8 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "study":
+        if args.domain != "unit-square":
+            raise ConfigError(f"study supports only --domain unit-square, got {args.domain!r}")
         config = _config_from_args(args)
         rows = run_study(args.p, args.levels, config, scaling=args.scaling,
                          progress=lambda msg: print(msg, file=sys.stderr))
@@ -168,6 +179,12 @@ def _run(args) -> int:
         path.write_text(csv_text)
         print(csv_text, end="")
         print(f"wrote {path}", file=sys.stderr)
+        unconverged = sorted({level for r in rows for level in r.unconverged})
+        if unconverged:
+            print(f"warning: levels {', '.join(map(str, unconverged))} did not "
+                  f"stagnate within --max-iters; their rows are unreliable",
+                  file=sys.stderr)
+            return EXIT_NUMERICAL
         return EXIT_OK
 
     if args.command == "poisson-check":

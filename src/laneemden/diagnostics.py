@@ -1,4 +1,4 @@
-"""Structural checks on computed extremals: linearized gap, sup-norm."""
+"""Structural checks on computed extremals: the linearized gap."""
 
 from __future__ import annotations
 
@@ -48,10 +48,3 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
     gap = smallest_eig_constrained(A, B, c, tol=tol)
     return GapReport(level=mesh.level, p=p, gap=gap, positive=gap > 0.0)
 
-
-def linf_norm(mesh: Mesh, u: np.ndarray) -> float:
-    """Sup norm of a P1 field (attained at a vertex)."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.size == 0:
-        return 0.0
-    return float(np.abs(u).max())

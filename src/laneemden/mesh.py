@@ -10,12 +10,14 @@ uniformly (4-way congruent splitting by edge midpoints).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, MeshError
 
 MAX_LEVEL = 12
+MIN_AREA = 1e-14
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,33 @@ class Mesh:
     def interior(self) -> np.ndarray:
         """Indices of interior (non-boundary) vertices."""
         return np.flatnonzero(~self.is_boundary)
+
+    @cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-triangle areas (nt,) and P1 basis gradients (nt, 3, 2).
+
+        Computed on first use and kept on the instance, so every assembly
+        and quadrature call on this mesh shares one read-only copy.  The
+        mesh is immutable, which is what makes the cache valid.  Raises
+        MeshError on a degenerate triangle.
+        """
+        p = self.vertices
+        t = self.triangles
+        e1 = p[t[:, 1]] - p[t[:, 0]]
+        e2 = p[t[:, 2]] - p[t[:, 0]]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        area = 0.5 * det
+        if np.any(area < MIN_AREA):
+            raise MeshError(f"degenerate triangle (min area {area.min():.3e})")
+        grads = np.empty((t.shape[0], 3, 2))
+        grads[:, 1, 0] = e2[:, 1] / det
+        grads[:, 1, 1] = -e2[:, 0] / det
+        grads[:, 2, 0] = -e1[:, 1] / det
+        grads[:, 2, 1] = e1[:, 0] / det
+        grads[:, 0] = -grads[:, 1] - grads[:, 2]
+        area.flags.writeable = False
+        grads.flags.writeable = False
+        return area, grads
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:

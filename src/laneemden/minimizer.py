@@ -1,7 +1,8 @@
 """Normalized gradient descent for the discrete Sobolev extremal.
 
 One step: solve the Poisson problem K w = F(u) on the interior, move
-u <- u - eta (u - w), renormalize to unit L^p norm.  The converged
+u <- u - eta (u - w), renormalize to unit L^p norm (the norm comes from
+the same quadrature pass as the next load, see _evaluate).  The converged
 iterate is rescaled so the Euler-Lagrange multiplier equals 1.
 """
 
@@ -17,8 +18,6 @@ from . import assembly
 from .errors import ConfigError, NumericsError
 from .mesh import Mesh
 from .sparse import SparseOperator, factor
-
-DEGENERATE_NORM = 1e-14
 
 
 @dataclass
@@ -95,28 +94,35 @@ def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5,
     return np.sqrt(energy) / assembly.lp_norm(mesh, u, p, quad_degree)
 
 
-def _normalize(ws: _Workspace, u: np.ndarray) -> np.ndarray:
-    norm = assembly.lp_norm(ws.mesh, u, ws.config.p, ws.config.quad_degree)
-    if not norm >= DEGENERATE_NORM:  # also catches a NaN or infinite norm
-        raise NumericsError(f"degenerate iterate: L^p norm {norm:.3e}")
-    return u / norm
+def _evaluate(ws: _Workspace, v: np.ndarray):
+    """Unit-norm rescaling u of v, its energy u'Ku, load F(u) and fixed-point residual.
 
-
-def _evaluate(ws: _Workspace, u: np.ndarray):
-    """Energy u'Ku, load F(u) and fixed-point residual of a unit-norm iterate."""
+    One quadrature pass gives both the load and the norm: P1 quadrature is
+    linear in the nodal values, so v . F(v) is |v|_p^p under the same rule,
+    and F is (p-1)-homogeneous, so F(u) = F(v) / |v|_p^(p-1).
+    """
+    p = ws.config.p
+    Fv = assembly.nonlinear_load(ws.mesh, v, p, ws.config.quad_degree)
+    total = float(v @ Fv)
+    # Tested before the root, since a negative float to the power 1/p is
+    # complex; a NaN fails the test too.
+    if not 0.0 < total < math.inf:
+        raise NumericsError(f"degenerate iterate: |v|_p^p = {total:.3e}")
+    norm = total ** (1.0 / p)
+    u = v / norm
+    F = Fv / norm ** (p - 1.0)
     Ku = ws.K.matvec(u)
     energy = float(u @ Ku)
-    F = assembly.nonlinear_load(ws.mesh, u, ws.config.p, ws.config.quad_degree)
     # With |u|_p = 1 the multiplier-1 scale s satisfies s^(p-2) = energy,
     # and the scaled residual reduces to |Ku - energy F| / (energy |F|).
     r = Ku[ws.interior] - energy * F[ws.interior]
     denom = energy * float(np.linalg.norm(F[ws.interior]))
     residual = float(np.linalg.norm(r)) / denom if denom > 0 else np.inf
-    return energy, F, residual
+    return u, energy, F, residual
 
 
 def _step(ws: _Workspace, u: np.ndarray, energy: float, F: np.ndarray) -> np.ndarray:
-    """One descent + renormalization step from u, its energy u'Ku and load F(u).
+    """One descent step from u, its energy u'Ku and load F(u); not renormalized.
 
     The gradient is evaluated on the multiplier-1 rescaling s u of the
     unit-norm iterate (s^(p-2) = u'Ku when |u|_p = 1), which keeps the
@@ -126,17 +132,16 @@ def _step(ws: _Workspace, u: np.ndarray, energy: float, F: np.ndarray) -> np.nda
     cannot finish in the published iteration budget.
     """
     w = assembly.extend_zero(ws.solve(F[ws.interior]), ws.mesh)
-    u_next = u - ws.config.eta * (u - energy * w)
-    return _normalize(ws, u_next)
+    return u - ws.config.eta * (u - energy * w)
 
 
 def descent_step(mesh: Mesh, u: np.ndarray, config: MinimizerConfig) -> np.ndarray:
-    """Single normalized gradient-descent step (u must have unit L^p norm)."""
+    """Single normalized gradient-descent step from u (rescaled to unit L^p norm first)."""
     if config.eta == 0.0:
         return np.array(u, dtype=np.float64)
     ws = _Workspace(mesh, config)
-    energy, F, _ = _evaluate(ws, u)
-    return _step(ws, u, energy, F)
+    u, energy, F, _ = _evaluate(ws, np.asarray(u, dtype=np.float64))
+    return _evaluate(ws, _step(ws, u, energy, F))[0]
 
 
 def solve_extremal(mesh: Mesh, config: MinimizerConfig,
@@ -150,19 +155,15 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     """
     ws = _Workspace(mesh, config)
     if u0 is None:
-        u = initial_guess(mesh, config.p, config.quad_degree)
-    else:
-        u = _normalize(ws, np.asarray(u0, dtype=np.float64))
-
-    energy, F, residual = _evaluate(ws, u)
+        u0 = initial_guess(mesh, config.p, config.quad_degree)
+    u, energy, F, residual = _evaluate(ws, np.asarray(u0, dtype=np.float64))
     quotient = np.sqrt(energy)
     converged = False
     iterations = 0
     for k in range(1, config.max_iters + 1):
-        u = _step(ws, u, energy, F)
         iterations = k
         prev = quotient
-        energy, F, residual = _evaluate(ws, u)
+        u, energy, F, residual = _evaluate(ws, _step(ws, u, energy, F))
         quotient = np.sqrt(energy)
         if config.iters_fixed is not None:
             if k >= config.iters_fixed:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ class RateRow:
     gap: Optional[float]
     residual: float
     iters: int
+    unconverged: Tuple[int, ...] = ()  # of levels j, j+1: those stopped by max_iters
 
 
 def observed_rate(err_prev: float, err_curr: float) -> Optional[float]:
@@ -121,6 +122,8 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
             gap=gap,
             residual=sol.fixed_point_residual,
             iters=sol.iterations,
+            unconverged=tuple(meshes[i].level for i in (j - 1, j)
+                              if not solutions[i].converged),
         ))
         prev_l2, prev_h1 = l2, h1
     return rows
@@ -176,7 +179,7 @@ def _poisson_solve(mesh: Mesh, f, tol: float = 1e-12) -> np.ndarray:
 def _error_vs_exact(mesh: Mesh, u: np.ndarray, degree: int = 8):
     """Quadrature L2/H1-seminorm errors against the exact sine solution."""
     rule = assembly.triangle_rule(degree)
-    area, grads = assembly._geometry(mesh)
+    area, grads = mesh.geometry
     lam = rule.points
     coords = mesh.vertices[mesh.triangles]
     xq = np.einsum("qk,tkd->tqd", lam, coords)

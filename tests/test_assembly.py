@@ -15,7 +15,7 @@ from laneemden.assembly import (
     triangle_rule,
 )
 from laneemden.errors import ConfigError, DimensionError, MeshError
-from laneemden.mesh import Mesh, build_unit_square
+from laneemden.mesh import Mesh, build_unit_square, mesh_from_tokens, refine_uniform
 
 
 def test_local_stiffness_reference_triangle(reference_triangle):
@@ -224,3 +224,36 @@ def test_lp_norm_of_linear_field():
     assert lp_norm(m, m.vertices[:, 0], 2.0) == pytest.approx(
         1.0 / math.sqrt(3.0), abs=1e-14
     )
+
+
+def _hexagon(refinements: int) -> Mesh:
+    """Regular hexagon fanned from its center, uniformly refined."""
+    angles = np.arange(6) * (math.pi / 3) + 0.3
+    lines = ["7 6", "0.0 0.0 0"]
+    lines += [f"{math.cos(a)!r} {math.sin(a)!r} 1" for a in angles]
+    lines += [f"0 {k} {k % 6 + 1}" for k in range(1, 7)]
+    mesh = mesh_from_tokens(" ".join(lines).split())
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh)
+    return mesh
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagon"])
+@pytest.mark.parametrize("degree", [2, 5, 9])
+@pytest.mark.parametrize("p", [3.0, 4.0, 6.5, 11.0])
+def test_load_dot_field_is_lp_norm_power(kind, degree, p):
+    # P1 quadrature is linear in the nodal values, so u . F(u) = |u|_p^p
+    # under the same rule; the descent takes its norm from this identity.
+    m = build_unit_square(3) if kind == "square" else _hexagon(2)
+    u = np.random.default_rng(7).standard_normal(m.n_vertices)
+    total = float(u @ nonlinear_load(m, u, p, degree))
+    assert total == pytest.approx(lp_norm(m, u, p, degree) ** p, rel=1e-13)
+
+
+def test_geometry_cached_read_only():
+    m = build_unit_square(2)
+    area, grads = m.geometry
+    assert m.geometry[0] is area and m.geometry[1] is grads
+    for arr in (area, grads):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -10,6 +10,7 @@ from laneemden.cli import (
     import_solution,
     main,
 )
+from laneemden.errors import MeshError
 from laneemden.mesh import build_unit_square
 
 
@@ -97,6 +98,21 @@ def test_export_import_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "x y\n",
+    "-100 1\n",
+    "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 2\nvalues\n1\nabc\n2\n",
+], ids=["empty", "header", "count", "value"])
+def test_import_solution_malformed_raises_mesh_error(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    # main maps MeshError to EXIT_IO with the message as its one stderr line
+    with pytest.raises(MeshError, match="bad.txt") as err:
+        import_solution(path)
+    assert len(str(err.value).splitlines()) == 1
+
+
 def test_export_line_counts(tmp_path):
     mesh = build_unit_square(1)
     path = tmp_path / "sol.txt"
@@ -121,7 +137,7 @@ def test_study_csv_deterministic_content(tmp_path, capsys):
     assert csvs and csvs[-1].read_text() == first
 
 
-def test_study_from_mesh_file_domain(tmp_path, capsys):
+def test_solve_from_mesh_file_domain(tmp_path, capsys):
     from laneemden.mesh import write_mesh
 
     coarse = build_unit_square(0)
@@ -130,6 +146,30 @@ def test_study_from_mesh_file_domain(tmp_path, capsys):
     code = main(["solve", "--p", "4", "--level", "2",
                  "--domain", f"mesh:{mesh_path}", "--out-dir", str(tmp_path)])
     assert code == EXIT_OK
+
+
+def test_study_rejects_non_square_domain(tmp_path, capsys):
+    mesh_path = tmp_path / "square.mesh"
+    from laneemden.mesh import write_mesh
+
+    write_mesh(build_unit_square(0), mesh_path)
+    code = main(["study", "--p", "4", "--levels", "2",
+                 "--domain", f"mesh:{mesh_path}", "--out-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not list(tmp_path.glob("study_*.csv"))
+
+
+def test_study_unconverged_exit_code(tmp_path, capsys):
+    code = main(["study", "--p", "4", "--levels", "2", "--max-iters", "1",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    csvs = list(tmp_path.glob("study_p4_j2_*.csv"))
+    assert len(csvs) == 1 and csvs[0].read_text() == captured.out
+    warnings = [line for line in captured.err.splitlines() if "did not" in line]
+    assert warnings == ["warning: levels 2, 3 did not stagnate within "
+                        "--max-iters; their rows are unreliable"]
 
 
 def test_poisson_check_runs(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from laneemden import assembly
-from laneemden.diagnostics import GapReport, linf_norm, nondegeneracy_gap
+from laneemden.diagnostics import GapReport, nondegeneracy_gap
 from laneemden.errors import ConfigError
 from laneemden.mesh import build_unit_square
 from laneemden.minimizer import ExtremalSolution, MinimizerConfig, solve_extremal
@@ -70,15 +70,6 @@ def test_gap_monotone_in_weight_scale():
     # so the tail of the sequence may tie at zero
     assert gaps[0] > gaps[1] >= gaps[2]
     assert gaps[0] > 0.0 >= gaps[2]
-
-
-def test_linf_examples():
-    m = build_unit_square(2)
-    assert linf_norm(m, np.zeros(m.n_vertices)) == 0.0
-    chi = np.zeros(m.n_vertices)
-    chi[m.interior] = 1.0
-    assert linf_norm(m, chi) == 1.0
-    assert linf_norm(m, np.array([])) == 0.0
 
 
 def test_gap_report_flag_consistent():

@@ -3,7 +3,7 @@ import pytest
 
 from laneemden import assembly, minimizer, sparse
 from laneemden.errors import ConfigError, NumericsError
-from laneemden.mesh import build_unit_square, prolongate, refine_uniform
+from laneemden.mesh import Mesh, build_unit_square, prolongate, refine_uniform
 from laneemden.minimizer import (
     MinimizerConfig,
     descent_step,
@@ -89,7 +89,7 @@ def test_rayleigh_quotient_sine_oracle():
         gu = u[tri[0]] * ga + u[tri[1]] * gb + u[tri[2]] * gc
         energy += 0.5 * det * float(gu @ gu)
     rule = assembly.triangle_rule(8)
-    area, _ = assembly._geometry(m)
+    area, _ = m.geometry
     uq = u[m.triangles] @ rule.points.T
     norm = float(area @ (np.abs(uq) ** p @ rule.weights)) ** (1.0 / p)
     oracle = np.sqrt(energy) / norm
@@ -258,6 +258,13 @@ def test_nan_start_raises_numerics_error():
         solve_extremal(m, MinimizerConfig(p=4.0), u0=u0)
 
 
+def test_zero_start_raises_numerics_error():
+    # |v|_p^p = v . F(v) = 0: the norm test runs before the root is taken
+    m = build_unit_square(2)
+    with pytest.raises(NumericsError):
+        solve_extremal(m, MinimizerConfig(p=4.0), u0=np.zeros(m.n_vertices))
+
+
 def test_one_factorization_and_no_krylov_solve_per_level(monkeypatch):
     calls = {"factor": 0, "pcg": 0}
     real_factor, real_pcg = minimizer.factor, sparse._pcg
@@ -275,3 +282,74 @@ def test_one_factorization_and_no_krylov_solve_per_level(monkeypatch):
     sol = solve_extremal(build_unit_square(3), MinimizerConfig(p=4.0))
     assert sol.converged and sol.iterations > 1
     assert calls == {"factor": 1, "pcg": 0}
+
+
+def test_geometry_computed_once_per_mesh(monkeypatch):
+    computed = []
+    real = Mesh.geometry.func
+
+    def spy(mesh):
+        computed.append(mesh.n_triangles)
+        return real(mesh)
+
+    monkeypatch.setattr(Mesh.geometry, "func", spy)
+    m = build_unit_square(3)
+    sol = solve_extremal(m, MinimizerConfig(p=4.0))
+    assert sol.iterations > 1
+    assert computed == [m.n_triangles]
+    assert not m.geometry[0].flags.writeable
+    assert not m.geometry[1].flags.writeable
+
+
+def test_one_load_per_step_and_no_norm_in_loop(monkeypatch):
+    calls = {"load": 0, "norm": 0}
+    real_load, real_norm = assembly.nonlinear_load, assembly.lp_norm
+
+    def counting_load(*args, **kwargs):
+        calls["load"] += 1
+        return real_load(*args, **kwargs)
+
+    def counting_norm(*args, **kwargs):
+        calls["norm"] += 1
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(assembly, "nonlinear_load", counting_load)
+    monkeypatch.setattr(assembly, "lp_norm", counting_norm)
+    m = build_unit_square(3)
+    sol = solve_extremal(m, MinimizerConfig(p=4.0))
+    # one load for the start plus one per step; the only norm is the flat guess
+    assert calls == {"load": sol.iterations + 1, "norm": 1}
+
+    calls.update(load=0, norm=0)
+    sol = solve_extremal(m, MinimizerConfig(p=4.0, iters_fixed=5),
+                         u0=sol.normalized_field)
+    assert calls == {"load": 6, "norm": 0}
+
+
+def _two_pass_descent(mesh, p, eta, steps):
+    """The descent with a separate L^p renormalization before each load."""
+    idx = mesh.interior
+    K = assembly.assemble_stiffness(mesh)
+    K_int = K.toarray()[np.ix_(idx, idx)]
+    chi = np.zeros(mesh.n_vertices)
+    chi[idx] = 1.0
+    u = chi / assembly.lp_norm(mesh, chi, p)
+    for _ in range(steps):
+        energy = float(u @ K.matvec(u))
+        F = assembly.nonlinear_load(mesh, u, p)
+        w = np.zeros(mesh.n_vertices)
+        w[idx] = np.linalg.solve(K_int, F[idx])
+        v = u - eta * (u - energy * w)
+        u = v / assembly.lp_norm(mesh, v, p)
+    energy = float(u @ K.matvec(u))
+    field = energy ** (1.0 / (p - 2.0)) * u
+    return np.sqrt(energy), (field if field.sum() >= 0.0 else -field)
+
+
+def test_fixed_steps_match_two_pass_descent():
+    m = build_unit_square(3)
+    cfg = MinimizerConfig(p=11.0, iters_fixed=60)
+    sol = solve_extremal(m, cfg)
+    c_h, field = _two_pass_descent(m, cfg.p, cfg.eta, 60)
+    assert sol.c_h == pytest.approx(c_h, rel=1e-12)
+    assert np.linalg.norm(sol.field - field) <= 1e-10 * np.linalg.norm(field)
