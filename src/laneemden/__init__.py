@@ -37,7 +37,7 @@ from .minimizer import (
     rayleigh_quotient,
     solve_extremal,
 )
-from .sparse import CgFailure, CgReport, SparseOperator, cg_solve, smallest_eig_constrained
+from .sparse import CgFailure, CgReport, cg_solve, smallest_eig_constrained
 from .study import (
     RateRow,
     inter_level_error,
@@ -50,7 +50,7 @@ from .study import (
 __all__ = [
     "CgFailure", "CgReport", "ConfigError", "DimensionError", "ExtremalSolution",
     "GapReport", "LaneEmdenError", "Mesh", "MeshError", "MinimizerConfig",
-    "NumericsError", "QuadratureRule", "RateRow", "SparseOperator",
+    "NumericsError", "QuadratureRule", "RateRow",
     "assemble_mass", "assemble_stiffness", "assemble_weighted_mass",
     "build_unit_square", "cg_solve", "descent_step", "extend_zero",
     "initial_guess", "inter_level_error", "lp_norm",

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigError, DimensionError
 from .mesh import Mesh
-from .sparse import SparseOperator
 
 MAX_QUAD_DEGREE = 20
 
@@ -80,11 +80,17 @@ def triangle_rule(degree: int = 5) -> QuadratureRule:
     return _conical_rule(degree)
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> SparseOperator:
+def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
     t = mesh.triangles
     rows = np.repeat(t, 3, axis=1).ravel()
     cols = np.tile(t, (1, 3)).ravel()
-    return SparseOperator.from_coo(mesh.n_vertices, rows, cols, local.ravel())
+    n = mesh.n_vertices
+    # tocsr sums duplicates in triangle order and sorts the indices.  Exact
+    # zeros (the stiffness couplings across right-triangle hypotenuses) are
+    # dropped: the stored pattern fixes the factorization's ordering.
+    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    A.eliminate_zeros()
+    return A
 
 
 def _scatter_vector(mesh: Mesh, local: np.ndarray) -> np.ndarray:
@@ -93,14 +99,14 @@ def _scatter_vector(mesh: Mesh, local: np.ndarray) -> np.ndarray:
                        minlength=mesh.n_vertices)
 
 
-def assemble_stiffness(mesh: Mesh) -> SparseOperator:
+def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j)."""
     area, grads = mesh.geometry
     local = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
     return _scatter(mesh, local)
 
 
-def assemble_mass(mesh: Mesh) -> SparseOperator:
+def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent mass matrix; local block (area/12) [[2,1,1],[1,2,1],[1,1,2]]."""
     area, _ = mesh.geometry
     block = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -110,7 +116,7 @@ def assemble_mass(mesh: Mesh) -> SparseOperator:
 
 def assemble_weighted_mass(
     mesh: Mesh, w: np.ndarray, exponent: float, degree: int = 5
-) -> SparseOperator:
+) -> sp.csr_matrix:
     """Matrix of int |w|^exponent phi_i phi_j with w its P1 interpolant."""
     if exponent < 0:
         raise ConfigError(f"exponent must be >= 0, got {exponent}")
@@ -172,14 +178,14 @@ def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:
 
 
 def restrict_interior(
-    obj: Union[SparseOperator, np.ndarray], mesh: Mesh
-) -> Union[SparseOperator, np.ndarray]:
+    obj: Union[sp.csr_matrix, np.ndarray], mesh: Mesh
+) -> Union[sp.csr_matrix, np.ndarray]:
     """Drop boundary rows/columns (homogeneous Dirichlet)."""
     idx = mesh.interior
-    if isinstance(obj, SparseOperator):
-        if obj.n != mesh.n_vertices:
+    if sp.issparse(obj):
+        if obj.shape != (mesh.n_vertices, mesh.n_vertices):
             raise DimensionError("operator size does not match mesh")
-        return obj.submatrix(idx)
+        return obj[idx][:, idx]
     vec = _check_field(mesh, obj)
     return vec[idx]
 

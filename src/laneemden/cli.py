@@ -13,11 +13,13 @@ from . import __version__
 from .diagnostics import nondegeneracy_gap
 from .errors import ConfigError, DimensionError, LaneEmdenError, MeshError, NumericsError
 from .mesh import (
+    MAX_LEVEL,
     Mesh,
     build_unit_square,
     mesh_from_tokens,
     read_mesh,
     refine_uniform,
+    write_mesh,
 )
 from .minimizer import MinimizerConfig, solve_extremal
 from .study import (
@@ -39,12 +41,8 @@ def export_solution(mesh: Mesh, field: np.ndarray, path) -> None:
     if field.shape != (mesh.n_vertices,):
         raise DimensionError("field length does not match mesh")
     try:
-        with open(path, "w") as f:
-            f.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
-            for (x, y), b in zip(mesh.vertices, mesh.is_boundary):
-                f.write(f"{float(x)!r} {float(y)!r} {int(b)}\n")
-            for i, j, k in mesh.triangles:
-                f.write(f"{i} {j} {k}\n")
+        write_mesh(mesh, path)
+        with open(path, "a") as f:
             f.write("values\n")
             for v in field:
                 f.write(f"{v:.17g}\n")
@@ -82,6 +80,8 @@ def _load_domain(domain: str, level: int) -> Mesh:
     if domain == "unit-square":
         return build_unit_square(level)
     if domain.startswith("mesh:"):
+        if not 0 <= level <= MAX_LEVEL:
+            raise ConfigError(f"level must be in [0, {MAX_LEVEL}], got {level}")
         mesh = read_mesh(domain[len("mesh:"):])
         for _ in range(level):
             mesh = refine_uniform(mesh)
@@ -202,6 +202,10 @@ def _run(args) -> int:
         config = _config_from_args(args)
         mesh = _load_domain(args.domain, args.level)
         sol = solve_extremal(mesh, config)
+        if not sol.converged:
+            raise NumericsError(
+                f"level {args.level} did not stagnate within --max-iters "
+                f"(residual {sol.fixed_point_residual:.3e}); no gap computed")
         report = nondegeneracy_gap(mesh, sol, args.p, quad_degree=config.quad_degree)
         print(f"level {report.level}  p {report.p:g}  gap {report.gap:.6e}  "
               f"positive {report.positive}")

@@ -39,7 +39,7 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
         )
     K = assembly.assemble_stiffness(mesh)
     W = assembly.assemble_weighted_mass(mesh, solution.field, p - 2.0, quad_degree)
-    A = assembly.restrict_interior(K.add(W, -(p - 1.0)), mesh)
+    A = assembly.restrict_interior(K - (p - 1.0) * W, mesh)
     B = assembly.restrict_interior(K, mesh)
     c = solution.field[mesh.interior]
     if not np.any(c):

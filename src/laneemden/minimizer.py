@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly
 from .errors import ConfigError, NumericsError
 from .mesh import Mesh
-from .sparse import SparseOperator, factor
+from .sparse import factor
 
 
 @dataclass
@@ -83,14 +84,14 @@ def initial_guess(mesh: Mesh, p: float, quad_degree: int = 5) -> np.ndarray:
 
 
 def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5,
-                      K: Optional[SparseOperator] = None) -> float:
+                      K: Optional[sp.csr_matrix] = None) -> float:
     """|grad u|_L2 / |u|_Lp for the P1 field u."""
     u = np.asarray(u, dtype=np.float64)
     if not np.any(u):
         raise ValueError("Rayleigh quotient undefined for the zero field")
     if K is None:
         K = assembly.assemble_stiffness(mesh)
-    energy = float(u @ K.matvec(u))
+    energy = float(u @ (K @ u))
     return np.sqrt(energy) / assembly.lp_norm(mesh, u, p, quad_degree)
 
 
@@ -111,7 +112,7 @@ def _evaluate(ws: _Workspace, v: np.ndarray):
     norm = total ** (1.0 / p)
     u = v / norm
     F = Fv / norm ** (p - 1.0)
-    Ku = ws.K.matvec(u)
+    Ku = ws.K @ u
     energy = float(u @ Ku)
     # With |u|_p = 1 the multiplier-1 scale s satisfies s^(p-2) = energy,
     # and the scaled residual reduces to |Ku - energy F| / (energy |F|).

@@ -1,4 +1,4 @@
-"""Symmetric sparse operators and solvers for the Dirichlet systems."""
+"""Solvers for the Dirichlet systems; operators are scipy CSR matrices built by assembly."""
 
 from __future__ import annotations
 
@@ -9,68 +9,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError, NumericsError
-
-
-class SparseOperator:
-    """Symmetric sparse matrix in compressed-row layout.
-
-    Thin wrapper over a finalized ``scipy.sparse.csr_matrix``: duplicates
-    summed, explicit zeros dropped, column indices sorted within rows.
-    """
-
-    def __init__(self, mat: sp.spmatrix):
-        m = sp.csr_matrix(mat)
-        if m.shape[0] != m.shape[1]:
-            raise DimensionError(f"operator must be square, got {m.shape}")
-        m.sum_duplicates()
-        m.eliminate_zeros()
-        m.sort_indices()
-        self._mat = m
-
-    @classmethod
-    def from_coo(cls, n: int, rows, cols, vals) -> "SparseOperator":
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SparseOperator":
-        return cls(sp.csr_matrix(np.asarray(a, dtype=np.float64)))
-
-    @property
-    def n(self) -> int:
-        return self._mat.shape[0]
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self._mat.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self._mat.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._mat.data
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self._mat @ x
-
-    __matmul__ = matvec
-
-    def diagonal(self) -> np.ndarray:
-        return self._mat.diagonal()
-
-    def toarray(self) -> np.ndarray:
-        return self._mat.toarray()
-
-    def submatrix(self, idx: np.ndarray) -> "SparseOperator":
-        return SparseOperator(self._mat[np.ix_(idx, idx)])
-
-    def symmetry_defect(self) -> float:
-        d = self._mat - self._mat.T
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
-
-    def add(self, other: "SparseOperator", beta: float = 1.0) -> "SparseOperator":
-        return SparseOperator(self._mat + beta * other._mat)
 
 
 @dataclass
@@ -157,8 +95,15 @@ def _pcg(
     raise CgFailure(CgReport(max_iter, res / nb, False), x)
 
 
+def _order(A: sp.spmatrix) -> int:
+    """Size n of a square n x n operator; DimensionError otherwise."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionError(f"operator must be square, got {A.shape}")
+    return A.shape[0]
+
+
 def cg_solve(
-    A: SparseOperator,
+    A: sp.spmatrix,
     b: np.ndarray,
     tol: float = 1e-12,
     max_iter: Optional[int] = None,
@@ -169,15 +114,16 @@ def cg_solve(
     Raises CgFailure on non-convergence (the report and best iterate are
     attached) and NumericsError on NaN or indefiniteness.
     """
+    n = _order(A)
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (A.n,):
-        raise DimensionError(f"rhs length {b.shape} does not match operator size {A.n}")
+    if b.shape != (n,):
+        raise DimensionError(f"rhs length {b.shape} does not match operator size {n}")
     if max_iter is None:
-        max_iter = 10 * A.n
-    return _pcg(A.matvec, A.diagonal(), b, tol, max_iter, callback=callback)
+        max_iter = 10 * n
+    return _pcg(A.dot, A.diagonal(), b, tol, max_iter, callback=callback)
 
 
-def factor(A: SparseOperator) -> Callable[[np.ndarray], np.ndarray]:
+def factor(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     """Sparse LU factorization of A, returned as its ``solve(b) -> x``.
 
     The minimum-degree ordering of A^T + A suits the symmetric stiffness
@@ -187,12 +133,12 @@ def factor(A: SparseOperator) -> Callable[[np.ndarray], np.ndarray]:
     # import of the package, and most entry points never factor.
     from scipy.sparse.linalg import splu
 
-    return splu(A._mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
 
 def smallest_eig_constrained(
-    A: SparseOperator,
-    B: SparseOperator,
+    A: sp.spmatrix,
+    B: sp.spmatrix,
     c: np.ndarray,
     tol: float = 1e-6,
     max_iter: int = 200,
@@ -205,12 +151,12 @@ def smallest_eig_constrained(
     reported as a non-positive gap.
     """
     c = np.asarray(c, dtype=np.float64)
-    n = A.n
-    if c.shape != (n,) or B.n != n:
+    n = _order(A)
+    if c.shape != (n,) or B.shape != A.shape:
         raise DimensionError("inconsistent dimensions in constrained eigensolve")
     if n < 2:
         raise DimensionError("constraint subspace is trivial for n < 2")
-    Bc = B.matvec(c)
+    Bc = B @ c
     cBc = float(c @ Bc)
     if cBc <= 0.0:
         raise NumericsError("constraint vector is B-degenerate")
@@ -219,31 +165,31 @@ def smallest_eig_constrained(
         return x - (float(x @ Bc) / cBc) * c
 
     def proj_matvec(x: np.ndarray) -> np.ndarray:
-        return project(A.matvec(project(x)))
+        return project(A @ project(x))
 
     diag = A.diagonal()
     diag = np.where(diag > 0, diag, 1.0)
 
     rng = np.random.default_rng(0)
     x = project(rng.standard_normal(n))
-    bnorm = float(np.sqrt(max(x @ B.matvec(x), 0.0)))
+    bnorm = float(np.sqrt(max(x @ (B @ x), 0.0)))
     if bnorm == 0.0:
         raise NumericsError("deflated start vector vanished")
     x /= bnorm
-    lam = float(x @ A.matvec(x))
+    lam = float(x @ (A @ x))
 
     for _ in range(max_iter):
-        rhs = project(B.matvec(x))
+        rhs = project(B @ x)
         try:
             y, _ = _pcg(proj_matvec, diag, rhs, tol=min(tol, 1e-8), max_iter=10 * n)
         except NumericsError:
             return min(lam, 0.0)
         y = project(y)
-        ynorm = float(np.sqrt(max(y @ B.matvec(y), 0.0)))
+        ynorm = float(np.sqrt(max(y @ (B @ y), 0.0)))
         if ynorm == 0.0 or not np.isfinite(ynorm):
             return min(lam, 0.0)
         x = y / ynorm
-        lam_new = float(x @ A.matvec(x)) / float(x @ B.matvec(x))
+        lam_new = float(x @ (A @ x)) / float(x @ (B @ x))
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return lam_new
         lam = lam_new

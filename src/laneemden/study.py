@@ -13,9 +13,10 @@ from . import assembly, diagnostics
 from .errors import ConfigError, DimensionError
 from .mesh import Mesh, build_unit_square, prolongate, refine_uniform
 from .minimizer import MinimizerConfig, solve_extremal
-from .sparse import SparseOperator, cg_solve
+from .sparse import cg_solve
 
 CSV_HEADER = "j,h,err_l2,rate_l2,err_h1,rate_h1,c_h,linf,gap,residual,iters"
+GAP_MAX_LEVEL = 6  # highest coarse level of a row that gets a gap
 
 
 @dataclass
@@ -42,26 +43,21 @@ def observed_rate(err_prev: float, err_curr: float) -> Optional[float]:
 
 
 def inter_level_error(coarse_field: np.ndarray, fine_field: np.ndarray,
-                      fine_mesh: Mesh,
-                      M_f: Optional[SparseOperator] = None,
-                      K_f: Optional[SparseOperator] = None):
+                      fine_mesh: Mesh):
     """(L2, H1-seminorm) distance between a coarse field and its refinement's."""
     fine_field = np.asarray(fine_field, dtype=np.float64)
     if fine_field.shape != (fine_mesh.n_vertices,):
         raise DimensionError("fine field does not match fine mesh")
     d = prolongate(coarse_field, fine_mesh) - fine_field
-    if M_f is None:
-        M_f = assembly.assemble_mass(fine_mesh)
-    if K_f is None:
-        K_f = assembly.assemble_stiffness(fine_mesh)
-    l2 = math.sqrt(max(float(d @ M_f.matvec(d)), 0.0))
-    h1 = math.sqrt(max(float(d @ K_f.matvec(d)), 0.0))
+    M = assembly.assemble_mass(fine_mesh)
+    K = assembly.assemble_stiffness(fine_mesh)
+    l2 = math.sqrt(max(float(d @ (M @ d)), 0.0))
+    h1 = math.sqrt(max(float(d @ (K @ d)), 0.0))
     return l2, h1
 
 
 def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
-              scaling: str = "lambda1", gap_max_level: int = 6,
-              warm_start: bool = True,
+              scaling: str = "lambda1",
               progress: Optional[Callable[[str], None]] = None) -> List[RateRow]:
     """Solve at levels 1..j_max+1 and tabulate inter-level errors and rates.
 
@@ -78,8 +74,7 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
         config = MinimizerConfig(p=p)
     elif config.p != p:
         config = dataclasses.replace(config, p=p)
-    if config.iters_fixed is not None:
-        warm_start = False
+    warm_start = config.iters_fixed is None
 
     meshes = [build_unit_square(1)]
     for _ in range(1, j_max + 1):
@@ -106,7 +101,7 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
         sol = solutions[j - 1]
         gap = None
         if (meshes[j - 1].interior.size >= 2
-                and meshes[j - 1].level <= gap_max_level
+                and meshes[j - 1].level <= GAP_MAX_LEVEL
                 and sol.fixed_point_residual <= diagnostics.RESIDUAL_PRECONDITION):
             gap = diagnostics.nondegeneracy_gap(
                 meshes[j - 1], sol, p, quad_degree=config.quad_degree).gap

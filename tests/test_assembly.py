@@ -27,7 +27,7 @@ def test_local_stiffness_reference_triangle(reference_triangle):
 def test_stiffness_kernel_contains_constants():
     m = build_unit_square(3)
     K = assemble_stiffness(m)
-    assert np.abs(K.matvec(np.full(m.n_vertices, 7.0))).max() <= 1e-13
+    assert np.abs(K @ np.full(m.n_vertices, 7.0)).max() <= 1e-13
 
 
 def test_interior_row_sums_vanish():
@@ -47,14 +47,14 @@ def test_mass_partition_of_unity():
     m = build_unit_square(3)
     M = assemble_mass(m)
     one = np.ones(m.n_vertices)
-    assert float(one @ M.matvec(one)) == pytest.approx(1.0, abs=1e-12)
+    assert float(one @ (M @ one)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_mass_integrates_x_squared():
     m = build_unit_square(2)
     u = m.vertices[:, 0]
     M = assemble_mass(m)
-    assert float(u @ M.matvec(u)) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert float(u @ (M @ u)) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_weighted_mass_unit_weight_is_mass():
@@ -116,7 +116,7 @@ def test_restrict_level1_single_interior():
     m = build_unit_square(1)
     assert m.interior.size == 1
     K_int = restrict_interior(assemble_stiffness(m), m)
-    assert K_int.n == 1
+    assert K_int.shape == (1, 1)
     assert K_int.toarray()[0, 0] == pytest.approx(4.0, abs=1e-14)
 
 
@@ -138,9 +138,8 @@ def test_restrict_dimension_mismatch():
 def test_matrices_symmetric():
     m = build_unit_square(3)
     u = np.abs(np.random.default_rng(1).standard_normal(m.n_vertices))
-    assert assemble_stiffness(m).symmetry_defect() <= 1e-14
-    assert assemble_mass(m).symmetry_defect() <= 1e-14
-    assert assemble_weighted_mass(m, u, 2.0).symmetry_defect() <= 1e-14
+    for A in (assemble_stiffness(m), assemble_mass(m), assemble_weighted_mass(m, u, 2.0)):
+        assert abs(A - A.T).max() <= 1e-14
 
 
 def test_restricted_stiffness_positive_definite():
@@ -148,8 +147,8 @@ def test_restricted_stiffness_positive_definite():
     K_int = restrict_interior(assemble_stiffness(m), m)
     rng = np.random.default_rng(5)
     for _ in range(100):
-        x = rng.standard_normal(K_int.n)
-        assert float(x @ K_int.matvec(x)) > 0.0
+        x = rng.standard_normal(K_int.shape[0])
+        assert float(x @ (K_int @ x)) > 0.0
 
 
 def test_galerkin_consistency():
@@ -172,7 +171,7 @@ def test_galerkin_consistency():
         gu = u[tri[0]] * ga + u[tri[1]] * gb + u[tri[2]] * gc
         gv = v[tri[0]] * ga + v[tri[1]] * gb + v[tri[2]] * gc
         exact += 0.5 * det * float(gu @ gv)
-    form = float(u @ K.matvec(v))
+    form = float(u @ (K @ v))
     assert abs(form - exact) <= 1e-13 * max(1.0, abs(exact))
 
 

@@ -11,7 +11,7 @@ from laneemden.cli import (
     main,
 )
 from laneemden.errors import MeshError
-from laneemden.mesh import build_unit_square
+from laneemden.mesh import MAX_LEVEL, build_unit_square
 
 
 def test_usage_error_on_bad_p(tmp_path):
@@ -148,6 +148,27 @@ def test_solve_from_mesh_file_domain(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("level", ["-1", str(MAX_LEVEL + 1)])
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_mesh_domain_level_out_of_range(tmp_path, capsys, monkeypatch, command, level):
+    # a hexagon fanned around one interior vertex: level 0 is solvable, so
+    # only the range check can stop level -1
+    ring = [f"{float(np.cos(a))!r} {float(np.sin(a))!r} 1" for a in np.arange(6) * np.pi / 3]
+    fan = [f"0 {k} {k % 6 + 1}" for k in range(1, 7)]
+    mesh_path = tmp_path / "hexagon.mesh"
+    mesh_path.write_text("\n".join(["7 6", "0.0 0.0 0", *ring, *fan]) + "\n")
+
+    def no_refinement(mesh):
+        raise AssertionError("refined a mesh at an out-of-range level")
+
+    monkeypatch.setattr("laneemden.cli.refine_uniform", no_refinement)
+    code = main([command, "--p", "4", "--level", level,
+                 "--domain", f"mesh:{mesh_path}", "--out-dir", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hexagon.mesh"]
+
+
 def test_study_rejects_non_square_domain(tmp_path, capsys):
     mesh_path = tmp_path / "square.mesh"
     from laneemden.mesh import write_mesh
@@ -178,6 +199,22 @@ def test_poisson_check_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("j,err_l2,rate_l2,err_h1,rate_h1")
     assert "center value" in out
+
+
+@pytest.mark.parametrize("max_iters", ["70", "1"])
+def test_diagnose_unconverged_exit_code(tmp_path, capsys, monkeypatch, max_iters):
+    # 70 steps stop with a residual under the gap precondition, 1 step above it;
+    # either way the solve did not stagnate and no gap may be reported
+    def no_gap(*args, **kwargs):
+        raise AssertionError("gap computed for an unconverged solve")
+
+    monkeypatch.setattr("laneemden.cli.nondegeneracy_gap", no_gap)
+    code = main(["diagnose", "--p", "4", "--level", "3", "--max-iters", max_iters,
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "gap" not in captured.out
+    assert len(captured.err.splitlines()) == 1 and "did not stagnate" in captured.err
 
 
 def test_diagnose_positive_gap(tmp_path, capsys):

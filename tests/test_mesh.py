@@ -91,8 +91,8 @@ def test_prolongate_preserves_energy_norm():
     Kc = assemble_stiffness(coarse)
     Kf = assemble_stiffness(fine)
     uf = prolongate(u, fine)
-    ec = float(u @ Kc.matvec(u))
-    ef = float(uf @ Kf.matvec(uf))
+    ec = float(u @ (Kc @ u))
+    ef = float(uf @ (Kf @ uf))
     assert abs(ec - ef) <= 1e-13 * ec
 
 

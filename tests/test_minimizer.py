@@ -199,7 +199,7 @@ def test_lambda1_identity():
     cfg = MinimizerConfig(p=4.0)
     sol = solve_extremal(m, cfg)
     K = assembly.assemble_stiffness(m)
-    energy = float(sol.field @ K.matvec(sol.field))
+    energy = float(sol.field @ (K @ sol.field))
     pnorm = assembly.lp_norm(m, sol.field, 4.0) ** 4.0
     assert abs(energy - pnorm) <= 1e-10 * energy
 
@@ -208,9 +208,8 @@ def test_solution_fields_consistent():
     m = build_unit_square(3)
     cfg = MinimizerConfig(p=5.0)
     sol = solve_extremal(m, cfg)
-    s = (float(sol.normalized_field @
-               assembly.assemble_stiffness(m).matvec(sol.normalized_field))
-         ) ** (1.0 / (cfg.p - 2.0))
+    K = assembly.assemble_stiffness(m)
+    s = float(sol.normalized_field @ (K @ sol.normalized_field)) ** (1.0 / (cfg.p - 2.0))
     assert sol.field == pytest.approx(s * sol.normalized_field, abs=1e-12)
     assert np.all(sol.field[m.is_boundary] == 0.0)
     assert sol.field.min() >= -1e-10 * sol.linf
@@ -335,13 +334,13 @@ def _two_pass_descent(mesh, p, eta, steps):
     chi[idx] = 1.0
     u = chi / assembly.lp_norm(mesh, chi, p)
     for _ in range(steps):
-        energy = float(u @ K.matvec(u))
+        energy = float(u @ (K @ u))
         F = assembly.nonlinear_load(mesh, u, p)
         w = np.zeros(mesh.n_vertices)
         w[idx] = np.linalg.solve(K_int, F[idx])
         v = u - eta * (u - energy * w)
         u = v / assembly.lp_norm(mesh, v, p)
-    energy = float(u @ K.matvec(u))
+    energy = float(u @ (K @ u))
     field = energy ** (1.0 / (p - 2.0)) * u
     return np.sqrt(energy), (field if field.sum() >= 0.0 else -field)
 

@@ -13,33 +13,34 @@ from laneemden.errors import DimensionError, NumericsError
 from laneemden.mesh import build_unit_square
 from laneemden.sparse import (
     CgFailure,
-    SparseOperator,
     cg_solve,
     factor,
     smallest_eig_constrained,
 )
 
 
-def test_operator_finalization():
-    # duplicates summed, explicit zeros dropped, columns sorted
-    rows = [0, 0, 1, 1, 0]
-    cols = [1, 1, 0, 1, 0]
-    vals = [1.0, 2.0, 3.0, 0.0, 0.0]
-    A = SparseOperator.from_coo(2, rows, cols, vals)
-    assert np.array_equal(A.toarray(), [[0.0, 3.0], [3.0, 0.0]])
-    assert A.values.size == 2  # no stored zeros
-    for r in range(A.n):
-        cols_r = A.col_indices[A.row_offsets[r]:A.row_offsets[r + 1]]
-        assert np.all(np.diff(cols_r) > 0)
+def test_operator_finalization(reference_triangle):
+    # the right-angle legs are orthogonal: an exact zero coupling in K[1, 2]
+    K = assemble_stiffness(reference_triangle)
+    assert np.array_equal(
+        K.toarray(), [[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]]
+    )
+    assert K.nnz == 7 and np.all(K.data != 0.0)  # no stored zeros
+    for r in range(K.shape[0]):
+        cols_r = K.indices[K.indptr[r]:K.indptr[r + 1]]
+        assert np.all(np.diff(cols_r) > 0)  # sorted, duplicates summed
 
 
 def test_operator_must_be_square():
-    with pytest.raises(DimensionError):
-        SparseOperator(sp.csr_matrix(np.ones((2, 3))))
+    A = sp.csr_matrix(np.ones((2, 3)))
+    with pytest.raises(DimensionError, match="square"):
+        cg_solve(A, np.ones(2))
+    with pytest.raises(DimensionError, match="square"):
+        smallest_eig_constrained(A, A, np.ones(2))
 
 
 def test_cg_identity_solves_in_one_iteration():
-    A = SparseOperator.from_dense(np.eye(4))
+    A = sp.csr_matrix(np.eye(4))
     b = np.array([1.0, -2.0, 3.0, 0.5])
     x, report = cg_solve(A, b, tol=1e-12)
     assert x == pytest.approx(b, abs=1e-12)
@@ -56,7 +57,7 @@ def test_cg_level1_restricted_stiffness():
 
 
 def test_cg_zero_rhs():
-    A = SparseOperator.from_dense(np.diag([2.0, 3.0]))
+    A = sp.csr_matrix(np.diag([2.0, 3.0]))
     x, report = cg_solve(A, np.zeros(2))
     assert np.array_equal(x, np.zeros(2))
     assert report.converged and report.iterations == 0
@@ -90,7 +91,7 @@ def test_cg_poisson_center_fourier_oracle():
 def test_cg_residuals_monotone():
     mesh = build_unit_square(5)
     K_int = restrict_interior(assemble_stiffness(mesh), mesh)
-    b = np.random.default_rng(2).standard_normal(K_int.n)
+    b = np.random.default_rng(2).standard_normal(K_int.shape[0])
     history = []
     cg_solve(K_int, b, tol=1e-12, callback=history.append)
     diffs = np.diff(history)
@@ -100,13 +101,12 @@ def test_cg_residuals_monotone():
 def test_cg_permutation_invariance():
     mesh = build_unit_square(4)
     K_int = restrict_interior(assemble_stiffness(mesh), mesh)
+    n = K_int.shape[0]
     rng = np.random.default_rng(9)
-    b = rng.standard_normal(K_int.n)
-    perm = rng.permutation(K_int.n)
-    P = sp.csr_matrix(
-        (np.ones(K_int.n), (np.arange(K_int.n), perm)), shape=(K_int.n,) * 2
-    )
-    A_perm = SparseOperator(P @ sp.csr_matrix(K_int.toarray()) @ P.T)
+    b = rng.standard_normal(n)
+    perm = rng.permutation(n)
+    P = sp.csr_matrix((np.ones(n), (np.arange(n), perm)), shape=(n, n))
+    A_perm = P @ K_int @ P.T
     tol = 1e-10
     x, _ = cg_solve(K_int, b, tol=tol)
     y, _ = cg_solve(A_perm, P @ b, tol=tol)
@@ -117,7 +117,7 @@ def test_cg_permutation_invariance():
 def test_cg_failure_carries_report_and_iterate():
     mesh = build_unit_square(5)
     K_int = restrict_interior(assemble_stiffness(mesh), mesh)
-    b = np.random.default_rng(0).standard_normal(K_int.n)
+    b = np.random.default_rng(0).standard_normal(K_int.shape[0])
     with pytest.raises(CgFailure) as err:
         cg_solve(K_int, b, tol=1e-14, max_iter=3)
     assert err.value.report.iterations == 3
@@ -126,13 +126,13 @@ def test_cg_failure_carries_report_and_iterate():
 
 
 def test_cg_rejects_indefinite():
-    A = SparseOperator.from_dense(np.diag([1.0, -1.0]))
+    A = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(NumericsError):
         cg_solve(A, np.array([1.0, 1.0]))
 
 
 def test_cg_dimension_mismatch():
-    A = SparseOperator.from_dense(np.eye(3))
+    A = sp.csr_matrix(np.eye(3))
     with pytest.raises(DimensionError):
         cg_solve(A, np.ones(4))
 
@@ -140,21 +140,21 @@ def test_cg_dimension_mismatch():
 def test_factor_matches_dense_solve():
     mesh = build_unit_square(3)
     K_int = restrict_interior(assemble_stiffness(mesh), mesh)
-    b = np.random.default_rng(5).standard_normal(K_int.n)
+    b = np.random.default_rng(5).standard_normal(K_int.shape[0])
     x = factor(K_int)(b)
     oracle = np.linalg.solve(K_int.toarray(), b)
     assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def test_eig_identity_pair():
-    I3 = SparseOperator.from_dense(np.eye(3))
+    I3 = sp.csr_matrix(np.eye(3))
     e1 = np.array([1.0, 0.0, 0.0])
     assert smallest_eig_constrained(I3, I3, e1) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_eig_diagonal_example():
-    A = SparseOperator.from_dense(np.diag([1.0, 2.0, 3.0]))
-    B = SparseOperator.from_dense(np.eye(3))
+    A = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+    B = sp.csr_matrix(np.eye(3))
     e1 = np.array([1.0, 0.0, 0.0])
     assert smallest_eig_constrained(A, B, e1) == pytest.approx(2.0, rel=1e-5)
 
@@ -165,9 +165,7 @@ def test_eig_dirichlet_second_eigenvalue():
     mesh = build_unit_square(5)
     K_int = restrict_interior(assemble_stiffness(mesh), mesh)
     M_int = restrict_interior(assemble_mass(mesh), mesh)
-    Ks = sp.csr_matrix(K_int.toarray())
-    Ms = sp.csr_matrix(M_int.toarray())
-    vals, vecs = spla.eigsh(Ks, k=3, M=Ms, sigma=0.0)
+    vals, vecs = spla.eigsh(K_int, k=3, M=M_int, sigma=0.0)
     ground = vecs[:, 0]
     lam = smallest_eig_constrained(K_int, M_int, ground, tol=1e-8)
     # the second eigenvalue is nearly degenerate (split ~0.1 on this mesh);
@@ -181,8 +179,8 @@ def test_eig_constrained_bracket():
     # unconstrained generalized eigenvalues.
     rng = np.random.default_rng(4)
     Q = np.linalg.qr(rng.standard_normal((6, 6)))[0]
-    A = SparseOperator.from_dense(Q @ np.diag([1.0, 2.5, 4.0, 5.0, 7.0, 9.0]) @ Q.T)
-    B = SparseOperator.from_dense(np.eye(6))
+    A = sp.csr_matrix(Q @ np.diag([1.0, 2.5, 4.0, 5.0, 7.0, 9.0]) @ Q.T)
+    B = sp.csr_matrix(np.eye(6))
     for _ in range(5):
         c = rng.standard_normal(6)
         lam = smallest_eig_constrained(A, B, c, tol=1e-8)
@@ -192,19 +190,19 @@ def test_eig_constrained_bracket():
 def test_eig_breakdown_reports_nonpositive():
     # A is negative definite on the constraint subspace: inner solves break
     # down and the gap comes back non-positive.
-    A = SparseOperator.from_dense(np.diag([1.0, -2.0, -3.0]))
-    B = SparseOperator.from_dense(np.eye(3))
+    A = sp.csr_matrix(np.diag([1.0, -2.0, -3.0]))
+    B = sp.csr_matrix(np.eye(3))
     e1 = np.array([1.0, 0.0, 0.0])
     assert smallest_eig_constrained(A, B, e1) <= 0.0
 
 
 def test_eig_rejects_trivial_dimension():
-    A = SparseOperator.from_dense(np.array([[2.0]]))
+    A = sp.csr_matrix(np.array([[2.0]]))
     with pytest.raises(DimensionError):
         smallest_eig_constrained(A, A, np.array([1.0]))
 
 
 def test_eig_rejects_degenerate_constraint():
-    A = SparseOperator.from_dense(np.eye(3))
+    A = sp.csr_matrix(np.eye(3))
     with pytest.raises(NumericsError):
         smallest_eig_constrained(A, A, np.zeros(3))
