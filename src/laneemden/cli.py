@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .diagnostics import nondegeneracy_gap
+from .diagnostics import RESIDUAL_PRECONDITION, nondegeneracy_gap
 from .errors import ConfigError, DimensionError, LaneEmdenError, MeshError, NumericsError
 from .mesh import (
     MAX_LEVEL,
@@ -202,10 +202,12 @@ def _run(args) -> int:
         config = _config_from_args(args)
         mesh = _load_domain(args.domain, args.level)
         sol = solve_extremal(mesh, config)
-        if not sol.converged:
-            raise NumericsError(
-                f"level {args.level} did not stagnate within --max-iters "
-                f"(residual {sol.fixed_point_residual:.3e}); no gap computed")
+        # An --iters-fixed solve counts as converged whatever its residual.
+        if not sol.converged or sol.fixed_point_residual > RESIDUAL_PRECONDITION:
+            why = ("did not stagnate within --max-iters" if not sol.converged else
+                   f"ended above the gap's residual precondition {RESIDUAL_PRECONDITION}")
+            raise NumericsError(f"level {args.level} {why} (residual "
+                                f"{sol.fixed_point_residual:.3e}); no gap computed")
         report = nondegeneracy_gap(mesh, sol, args.p, quad_degree=config.quad_degree)
         print(f"level {report.level}  p {report.p:g}  gap {report.gap:.6e}  "
               f"positive {report.positive}")

@@ -37,7 +37,7 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
             f"extremal residual {solution.fixed_point_residual:.2e} too large "
             f"for a meaningful gap (need <= {RESIDUAL_PRECONDITION})"
         )
-    K = assembly.assemble_stiffness(mesh)
+    K = mesh.stiffness
     W = assembly.assemble_weighted_mass(mesh, solution.field, p - 2.0, quad_degree)
     A = assembly.restrict_interior(K - (p - 1.0) * W, mesh)
     B = assembly.restrict_interior(K, mesh)

@@ -81,6 +81,17 @@ class Mesh:
         grads.flags.writeable = False
         return area, grads
 
+    @cached_property
+    def stiffness(self):
+        """Assembled P1 stiffness (scipy CSR, read-only arrays), cached like
+        ``geometry`` so that the descent, errors and gap share one copy."""
+        from .assembly import assemble_stiffness  # assembly imports this module
+
+        K = assemble_stiffness(self)
+        for a in (K.data, K.indices, K.indptr):
+            a.flags.writeable = False
+        return K
+
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
     """Signed areas (positive for counter-clockwise triangles)."""

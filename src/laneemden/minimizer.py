@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import assembly
 from .errors import ConfigError, NumericsError
@@ -69,9 +68,8 @@ class _Workspace:
             raise ConfigError("mesh has no interior vertices")
         self.mesh = mesh
         self.config = config
-        self.K = assembly.assemble_stiffness(mesh)
         self.interior = mesh.interior
-        self.solve = factor(assembly.restrict_interior(self.K, mesh))
+        self.solve = factor(assembly.restrict_interior(mesh.stiffness, mesh))
 
 
 def initial_guess(mesh: Mesh, p: float, quad_degree: int = 5) -> np.ndarray:
@@ -83,15 +81,12 @@ def initial_guess(mesh: Mesh, p: float, quad_degree: int = 5) -> np.ndarray:
     return u / assembly.lp_norm(mesh, u, p, quad_degree)
 
 
-def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5,
-                      K: Optional[sp.csr_matrix] = None) -> float:
+def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5) -> float:
     """|grad u|_L2 / |u|_Lp for the P1 field u."""
     u = np.asarray(u, dtype=np.float64)
     if not np.any(u):
         raise ValueError("Rayleigh quotient undefined for the zero field")
-    if K is None:
-        K = assembly.assemble_stiffness(mesh)
-    energy = float(u @ (K @ u))
+    energy = float(u @ (mesh.stiffness @ u))
     return np.sqrt(energy) / assembly.lp_norm(mesh, u, p, quad_degree)
 
 
@@ -112,7 +107,7 @@ def _evaluate(ws: _Workspace, v: np.ndarray):
     norm = total ** (1.0 / p)
     u = v / norm
     F = Fv / norm ** (p - 1.0)
-    Ku = ws.K @ u
+    Ku = ws.mesh.stiffness @ u
     energy = float(u @ Ku)
     # With |u|_p = 1 the multiplier-1 scale s satisfies s^(p-2) = energy,
     # and the scaled residual reduces to |Ku - energy F| / (energy |F|).

@@ -38,7 +38,7 @@ def _pcg(
     max_iter: int,
     callback: Optional[Callable[[float], None]] = None,
 ):
-    """Jacobi-preconditioned conjugate-residual iteration.
+    """Jacobi-preconditioned conjugate-residual iteration behind cg_solve.
 
     Residual-minimizing member of the CG family for SPD systems: the
     residual norm is non-increasing (exactly, in the 2-norm, whenever the
@@ -146,9 +146,10 @@ def smallest_eig_constrained(
     """Smallest generalized Rayleigh quotient x'Ax/x'Bx subject to x'Bc = 0.
 
     Inverse iteration (shift 0) with the constraint re-imposed every step
-    by B-orthogonal deflation of c.  A must be positive definite on the
-    constraint subspace for the inner CG solves to succeed; a breakdown is
-    reported as a non-positive gap.
+    by B-orthogonal deflation of c, each step one exact solve on a single
+    factorization of A.  Where its pivots show A is not positive definite on
+    the constraint subspace, the gap is reported as non-positive; a singular
+    A (or projected operator) raises NumericsError.
     """
     c = np.asarray(c, dtype=np.float64)
     n = _order(A)
@@ -164,12 +165,6 @@ def smallest_eig_constrained(
     def project(x: np.ndarray) -> np.ndarray:
         return x - (float(x @ Bc) / cBc) * c
 
-    def proj_matvec(x: np.ndarray) -> np.ndarray:
-        return project(A @ project(x))
-
-    diag = A.diagonal()
-    diag = np.where(diag > 0, diag, 1.0)
-
     rng = np.random.default_rng(0)
     x = project(rng.standard_normal(n))
     bnorm = float(np.sqrt(max(x @ (B @ x), 0.0)))
@@ -178,13 +173,33 @@ def smallest_eig_constrained(
     x /= bnorm
     lam = float(x @ (A @ x))
 
+    from scipy.sparse.linalg import splu  # see factor
+
+    # Diagonal pivots only: with perm_r == perm_c the pivots are D of L D L'.
+    try:
+        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+    except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
+        raise NumericsError(f"constrained eigensolve: {e}") from None
+    # [[A, Bc], [Bc', 0]] has the inertia of A plus that of -(Bc)'A^-1(Bc)
+    # (Haynsworth), and that of A on {x'Bc = 0} plus one + and one -: A is
+    # definite there iff it has no negative pivot, or one with (Bc)'A^-1(Bc) < 0.
+    negative = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    definite = np.array_equal(lu.perm_r, lu.perm_c) and (
+        negative == 0 or (negative == 1 and float(Bc @ lu.solve(Bc)) < 0.0))
+    if not definite:
+        return min(lam, 0.0)
+
+    # A step solves A y - alpha c = project(B x) with y'Bc = 0:
+    # y = z1 - ((Bc)'z1 / (Bc)'z2) z2, z1 = A^-1 project(B x), z2 = A^-1 c.
+    z2 = lu.solve(c)
+    s = float(Bc @ z2)
+    if s == 0.0:
+        raise NumericsError("projected operator is singular on the constraint subspace")
+
     for _ in range(max_iter):
-        rhs = project(B @ x)
-        try:
-            y, _ = _pcg(proj_matvec, diag, rhs, tol=min(tol, 1e-8), max_iter=10 * n)
-        except NumericsError:
-            return min(lam, 0.0)
-        y = project(y)
+        z1 = lu.solve(project(B @ x))
+        y = project(z1 - (float(Bc @ z1) / s) * z2)
         ynorm = float(np.sqrt(max(y @ (B @ y), 0.0)))
         if ynorm == 0.0 or not np.isfinite(ynorm):
             return min(lam, 0.0)

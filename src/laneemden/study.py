@@ -50,7 +50,7 @@ def inter_level_error(coarse_field: np.ndarray, fine_field: np.ndarray,
         raise DimensionError("fine field does not match fine mesh")
     d = prolongate(coarse_field, fine_mesh) - fine_field
     M = assembly.assemble_mass(fine_mesh)
-    K = assembly.assemble_stiffness(fine_mesh)
+    K = fine_mesh.stiffness
     l2 = math.sqrt(max(float(d @ (M @ d)), 0.0))
     h1 = math.sqrt(max(float(d @ (K @ d)), 0.0))
     return l2, h1
@@ -164,8 +164,7 @@ def _exact_grad(x, y):
 
 
 def _poisson_solve(mesh: Mesh, f, tol: float = 1e-12) -> np.ndarray:
-    K = assembly.assemble_stiffness(mesh)
-    K_int = assembly.restrict_interior(K, mesh)
+    K_int = assembly.restrict_interior(mesh.stiffness, mesh)
     b = assembly.load_vector(mesh, f, degree=8)
     x, _ = cg_solve(K_int, b[mesh.interior], tol=tol)
     return assembly.extend_zero(x, mesh)

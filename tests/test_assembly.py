@@ -256,3 +256,14 @@ def test_geometry_cached_read_only():
     for arr in (area, grads):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_stiffness_cached_read_only():
+    m = build_unit_square(3)
+    K = m.stiffness
+    assert m.stiffness is K
+    fresh = assemble_stiffness(m)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(K, name), getattr(fresh, name))
+        with pytest.raises(ValueError):
+            getattr(K, name)[0] = 0

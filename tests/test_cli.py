@@ -227,3 +227,17 @@ def test_paper_protocol_flags_accepted(tmp_path):
     code = main(["study", "--p", "4", "--levels", "2", "--iters-fixed", "10",
                  "--scaling", "unit-norm", "--out-dir", str(tmp_path)])
     assert code == EXIT_OK
+
+
+def test_diagnose_fixed_steps_above_residual_precondition(tmp_path, capsys, monkeypatch):
+    # an --iters-fixed run counts as converged, but 5 steps leave residual 0.73
+    def no_gap(*args, **kwargs):
+        raise AssertionError("gap computed above the residual precondition")
+
+    monkeypatch.setattr("laneemden.cli.nondegeneracy_gap", no_gap)
+    code = main(["diagnose", "--p", "4", "--level", "3", "--iters-fixed", "5",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert "gap" not in captured.out
+    assert len(captured.err.splitlines()) == 1 and "residual" in captured.err

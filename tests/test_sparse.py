@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from laneemden import sparse
 from laneemden.assembly import (
     assemble_mass,
     assemble_stiffness,
+    assemble_weighted_mass,
     load_vector,
     restrict_interior,
 )
 from laneemden.errors import DimensionError, NumericsError
 from laneemden.mesh import build_unit_square
+from laneemden.minimizer import MinimizerConfig, solve_extremal
 from laneemden.sparse import (
     CgFailure,
     cg_solve,
@@ -206,3 +210,105 @@ def test_eig_rejects_degenerate_constraint():
     A = sp.csr_matrix(np.eye(3))
     with pytest.raises(NumericsError):
         smallest_eig_constrained(A, A, np.zeros(3))
+
+
+def test_eig_indefinite_operator_definite_on_subspace():
+    # the one negative direction of A is the constrained-out direction
+    A = sp.csr_matrix(np.diag([-1.0, 2.0, 3.0]))
+    B = sp.csr_matrix(np.eye(3))
+    e1 = np.array([1.0, 0.0, 0.0])
+    assert smallest_eig_constrained(A, B, e1) == pytest.approx(2.0, rel=1e-5)
+
+
+@pytest.mark.parametrize("A, B", [
+    (np.diag([0.0, 1.0, 2.0]), np.eye(3)),
+    (np.diag([1.0, 0.0, 2.0]), np.eye(3)),
+    # A and B are SPD, but A^-1 c is B-orthogonal to c: the projected
+    # operator of the inverse iteration is singular on the subspace
+    (np.array([[4.0, 1.0], [1.0, 0.5]]), np.array([[1.0, 0.5], [0.5, 1.0]])),
+])
+def test_eig_singular_operator_raises(A, B):
+    c = np.eye(A.shape[0])[0]
+    with pytest.raises(NumericsError, match="singular"):
+        smallest_eig_constrained(sp.csr_matrix(A), sp.csr_matrix(B), c)
+
+
+def _quartic_gap_operators(level, weight=1.0):
+    """A = K - weight (p-1) W, B = K and c = U on the interior, p = 4."""
+    p = 4.0
+    m = build_unit_square(level)
+    sol = solve_extremal(m, MinimizerConfig(p=p))
+    W = assemble_weighted_mass(m, sol.field, p - 2.0)
+    A = restrict_interior(m.stiffness - weight * (p - 1.0) * W, m)
+    return A, restrict_interior(m.stiffness, m), sol.field[m.interior]
+
+
+def _dense_constrained_min(A, B, c):
+    """Smallest eigenvalue of the pencil (A, B) on {x'Bc = 0}, densely."""
+    Bd = B.toarray()
+    Q = sla.null_space((Bd @ c)[None, :])
+    return sla.eigh(Q.T @ A.toarray() @ Q, Q.T @ Bd @ Q, eigvals_only=True)[0]
+
+
+def _pcg_inverse_iteration(A, B, c, tol=1e-6, max_iter=200):
+    """The eigensolver as it was before the factorization: the same inverse
+    iteration, each projected step solved by Jacobi conjugate residuals."""
+    n = A.shape[0]
+    Bc = B @ c
+    cBc = float(c @ Bc)
+
+    def project(x):
+        return x - (float(x @ Bc) / cBc) * c
+
+    diag = A.diagonal()
+    diag = np.where(diag > 0, diag, 1.0)
+    x = project(np.random.default_rng(0).standard_normal(n))
+    x /= float(np.sqrt(x @ (B @ x)))
+    lam = float(x @ (A @ x))
+    for _ in range(max_iter):
+        y, _ = sparse._pcg(lambda v: project(A @ project(v)), diag,
+                           project(B @ x), tol=min(tol, 1e-8), max_iter=10 * n)
+        y = project(y)
+        x = y / float(np.sqrt(y @ (B @ y)))
+        lam_new = float(x @ (A @ x)) / float(x @ (B @ x))
+        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+            return lam_new
+        lam = lam_new
+    return lam
+
+
+def test_eig_indefinite_on_subspace_reports_nonpositive():
+    # doubling the weight makes A indefinite on the constraint subspace;
+    # inverse iteration alone would converge to an eigenvalue near 0 of
+    # either sign, so the pivots must flag it
+    A, B, c = _quartic_gap_operators(3, weight=2.0)
+    assert _dense_constrained_min(A, B, c) < -0.1
+    assert smallest_eig_constrained(A, B, c) <= 0.0
+
+
+def test_eig_one_factorization_and_no_krylov_solve(monkeypatch):
+    calls = {"splu": 0, "pcg": 0}
+    real_splu, real_pcg = spla.splu, sparse._pcg
+
+    def counting_splu(*args, **kwargs):
+        calls["splu"] += 1
+        return real_splu(*args, **kwargs)
+
+    def counting_pcg(*args, **kwargs):
+        calls["pcg"] += 1
+        return real_pcg(*args, **kwargs)
+
+    A, B, c = _quartic_gap_operators(3)
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(sparse, "_pcg", counting_pcg)
+    assert smallest_eig_constrained(A, B, c) > 0.0
+    assert calls == {"splu": 1, "pcg": 0}
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_eig_matches_krylov_inverse_iteration(level):
+    A, B, c = _quartic_gap_operators(level)
+    gap = smallest_eig_constrained(A, B, c)
+    assert gap == pytest.approx(_pcg_inverse_iteration(A, B, c), rel=1e-7)
+    # a Rayleigh quotient on the subspace bounds its minimum from above
+    assert gap >= _dense_constrained_min(A, B, c) - 1e-9

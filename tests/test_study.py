@@ -141,3 +141,17 @@ def test_run_study_passes_quad_degree_to_gap(weighted_mass_degrees):
     rows = run_study(4.0, 2, MinimizerConfig(p=4.0, quad_degree=7))
     assert [r.gap is not None for r in rows] == [False, True]
     assert weighted_mass_degrees == [7]
+
+
+def test_run_study_assembles_stiffness_once_per_level(monkeypatch):
+    levels = []
+    real = assembly.assemble_stiffness
+
+    def counting(mesh):
+        levels.append(mesh.level)
+        return real(mesh)
+
+    monkeypatch.setattr(assembly, "assemble_stiffness", counting)
+    rows = run_study(4.0, 3)
+    assert any(r.gap is not None for r in rows)  # the gap reads it too
+    assert levels == [1, 2, 3, 4]
