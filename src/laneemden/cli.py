@@ -92,7 +92,9 @@ def _load_domain(domain: str, level: int) -> Mesh:
 def _add_solver_flags(sp):
     sp.add_argument("--p", type=float, default=4.0,
                     help="exponent of the nonlinearity |u|^(p-2) u, p > 2")
-    sp.add_argument("--eta", type=float, default=0.2, help="descent step size")
+    sp.add_argument("--eta", type=float, default=0.2,
+                    help="mixing weight of the accelerated iteration; "
+                         "step size of the --iters-fixed descent")
     sp.add_argument("--max-iters", type=int, default=400)
     sp.add_argument("--iters-fixed", type=int, default=None,
                     help="run exactly N descent steps (published protocol: 60)")
@@ -160,8 +162,12 @@ def _run(args) -> int:
         export_solution(mesh, field, path)
         print(f"level {args.level}  p {args.p:g}  c_h {sol.c_h:.10f}  "
               f"residual {sol.fixed_point_residual:.3e}  iters {sol.iterations}  "
-              f"linf {sol.linf:.6f}")
+              f"stop {sol.stop}  linf {sol.linf:.6f}")
         print(f"wrote {path}")
+        if sol.stop == "iters_fixed" and sol.fixed_point_residual > RESIDUAL_PRECONDITION:
+            print(f"warning: --iters-fixed {sol.iterations} ended at residual "
+                  f"{sol.fixed_point_residual:.3e}, above the gap precondition "
+                  f"{RESIDUAL_PRECONDITION}", file=sys.stderr)
         if not sol.converged:
             print("warning: iteration did not stagnate; best iterate exported",
                   file=sys.stderr)

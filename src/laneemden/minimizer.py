@@ -1,9 +1,13 @@
-"""Normalized gradient descent for the discrete Sobolev extremal.
+"""Normalized gradient descent for the discrete Sobolev extremal, Anderson-accelerated.
 
-One step: solve the Poisson problem K w = F(u) on the interior, move
-u <- u - eta (u - w), renormalize to unit L^p norm (the norm comes from
-the same quadrature pass as the next load, see _evaluate).  The converged
-iterate is rescaled so the Euler-Lagrange multiplier equals 1.
+One descent step: solve the Poisson problem K w = F(u) on the interior,
+move u <- u - eta (u - w), renormalize to unit L^p norm (the norm comes
+from the same quadrature pass as the next load, see _evaluate).  The
+converged solve mixes each step with the last ANDERSON_DEPTH iterates and
+residuals of that map (Anderson, J. ACM 12 (1965); Walker and Ni, SIAM J.
+Numer. Anal. 49 (2011)), so eta is the mixing weight; the paper protocol
+(iters_fixed) runs the plain descent.  The converged iterate is rescaled
+so the Euler-Lagrange multiplier equals 1.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from . import assembly
 from .errors import ConfigError, NumericsError
 from .mesh import Mesh
 from .sparse import factor
+
+ANDERSON_DEPTH = 5  # iterates mixed per step of the converged solve
 
 
 @dataclass
@@ -58,6 +64,7 @@ class ExtremalSolution:
     fixed_point_residual: float   # |K U - F(U)| / |F(U)| on interior nodes
     linf: float
     converged: bool
+    stop: str                     # "stagnated", "max_iters" or "iters_fixed"
 
 
 class _Workspace:
@@ -148,26 +155,49 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     the Euler-Lagrange residual is below residual_tol (or after exactly
     iters_fixed steps in paper-protocol mode).  Returns the best iterate
     flagged unconverged if max_iters is exhausted.
+
+    Each step maps u to g = _step(u) with residual f = g - u and moves to
+    v = g - dG gamma, gamma = argmin |dR gamma - f|, where the rows of dG
+    and dR are the differences of the last ANDERSON_DEPTH maps and
+    residuals on the interior nodes (dG = dX + dR, with dX the iterate
+    differences); depth 0 (iters_fixed) gives v = g, the published descent.
+    Least squares rather than normal equations, since the history can be
+    rank-deficient (at L2 the mesh symmetries confine it to 4 dimensions).
     """
     ws = _Workspace(mesh, config)
     if u0 is None:
         u0 = initial_guess(mesh, config.p, config.quad_degree)
     u, energy, F, residual = _evaluate(ws, np.asarray(u0, dtype=np.float64))
     quotient = np.sqrt(energy)
-    converged = False
+    depth = 0 if config.iters_fixed is not None else ANDERSON_DEPTH
+    idx = ws.interior
+    dG = np.empty((depth, idx.size))  # ring buffers, row (k - 2) % depth
+    dR = np.empty((depth, idx.size))
+    stop = "max_iters"
     iterations = 0
     for k in range(1, config.max_iters + 1):
         iterations = k
         prev = quotient
-        u, energy, F, residual = _evaluate(ws, _step(ws, u, energy, F))
+        v = _step(ws, u, energy, F)
+        if depth:
+            g = v[idx]
+            f = g - u[idx]
+            if k > 1:
+                row = (k - 2) % depth
+                dG[row], dR[row] = g - g_prev, f - f_prev
+                m = min(k - 1, depth)
+                gamma = np.linalg.lstsq(dR[:m].T, f, rcond=None)[0]
+                v[idx] = g - gamma @ dG[:m]
+            g_prev, f_prev = g, f
+        u, energy, F, residual = _evaluate(ws, v)
         quotient = np.sqrt(energy)
         if config.iters_fixed is not None:
             if k >= config.iters_fixed:
-                converged = True
+                stop = "iters_fixed"
                 break
         elif (abs(quotient - prev) <= config.quotient_tol * quotient
               and residual <= config.residual_tol):
-            converged = True
+            stop = "stagnated"
             break
 
     field = energy ** (1.0 / (config.p - 2.0)) * u  # multiplier-1 scale s u
@@ -181,5 +211,7 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
         iterations=iterations,
         fixed_point_residual=residual,
         linf=float(np.abs(field).max()),
-        converged=converged,
+        # An iters_fixed run counts as converged whatever its residual.
+        converged=stop != "max_iters",
+        stop=stop,
     )

@@ -157,6 +157,17 @@ def smallest_eig_constrained(
         raise DimensionError("inconsistent dimensions in constrained eigensolve")
     if n < 2:
         raise DimensionError("constraint subspace is trivial for n < 2")
+    # Checked before factoring: SuperLU reports a NaN pivot as "exactly singular".
+    for name, M in (("A", A), ("B", B)):
+        if not np.isfinite(M.data).all():
+            M = sp.coo_matrix(M)
+            i = np.flatnonzero(~np.isfinite(M.data))[0]
+            raise NumericsError(f"constrained eigensolve: non-finite entry "
+                                f"{name}[{M.row[i]}, {M.col[i]}] = {M.data[i]}")
+    bad = np.flatnonzero(~np.isfinite(c))
+    if bad.size:
+        raise NumericsError(f"constrained eigensolve: non-finite entry "
+                            f"c[{bad[0]}] = {c[bad[0]]}")
     Bc = B @ c
     cBc = float(c @ Bc)
     if cBc <= 0.0:

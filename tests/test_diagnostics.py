@@ -18,6 +18,7 @@ def _fake_solution(mesh, field, residual=0.0):
         fixed_point_residual=residual,
         linf=float(np.abs(field).max()) if field.size else 0.0,
         converged=True,
+        stop="stagnated",
     )
 
 

@@ -352,3 +352,43 @@ def test_fixed_steps_match_two_pass_descent():
     c_h, field = _two_pass_descent(m, cfg.p, cfg.eta, 60)
     assert sol.c_h == pytest.approx(c_h, rel=1e-12)
     assert np.linalg.norm(sol.field - field) <= 1e-10 * np.linalg.norm(field)
+
+
+@pytest.mark.parametrize("p", [4.0, 11.0])
+def test_accelerated_solve_matches_converged_descent(p):
+    # 400 plain descent steps reach the fixed point to rounding at L3
+    m = build_unit_square(3)
+    sol = solve_extremal(m, MinimizerConfig(p=p))
+    c_h, field = _two_pass_descent(m, p, 0.2, 400)
+    assert sol.converged and sol.stop == "stagnated"
+    assert sol.c_h == pytest.approx(c_h, rel=1e-12)
+    assert np.linalg.norm(sol.field - field) <= 1e-7 * np.linalg.norm(field)
+
+
+def test_cold_solve_step_count():
+    # the plain descent takes 130 steps here
+    sol = solve_extremal(build_unit_square(3), MinimizerConfig(p=4.0))
+    assert sol.stop == "stagnated"
+    assert sol.iterations <= 40
+
+
+def test_rank_deficient_history_at_level2(monkeypatch):
+    # The mesh symmetries keep the 9 interior values of L2 in a 4-dimensional
+    # subspace, so a full history of 5 differences is rank-deficient.
+    deficient = []
+    real = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        deficient.append(np.linalg.matrix_rank(a) < a.shape[1])
+        return real(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    m = build_unit_square(2)
+    cold = solve_extremal(m, MinimizerConfig(p=11.0))
+    tight = MinimizerConfig(p=11.0, quotient_tol=1e-16, residual_tol=1e-14)
+    sol = solve_extremal(m, tight, u0=cold.normalized_field)
+    assert any(deficient)
+    for s in (cold, sol):
+        assert s.converged and s.stop == "stagnated"
+    assert sol.iterations > 1 and sol.fixed_point_residual <= 1e-14
+

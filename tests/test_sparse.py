@@ -312,3 +312,14 @@ def test_eig_matches_krylov_inverse_iteration(level):
     assert gap == pytest.approx(_pcg_inverse_iteration(A, B, c), rel=1e-7)
     # a Rayleigh quotient on the subspace bounds its minimum from above
     assert gap >= _dense_constrained_min(A, B, c) - 1e-9
+
+
+def test_eig_non_finite_operator_named():
+    A = sp.csr_matrix(np.diag([1.0, np.nan, 3.0]))
+    B = sp.csr_matrix(np.eye(3))
+    with pytest.raises(NumericsError, match=r"non-finite entry A\[1, 1\] = nan"):
+        smallest_eig_constrained(A, B, np.eye(3)[0])
+    with pytest.raises(NumericsError, match=r"non-finite entry B\[1, 1\] = nan"):
+        smallest_eig_constrained(B, A, np.eye(3)[0])
+    with pytest.raises(NumericsError, match=r"non-finite entry c\[2\] = inf"):
+        smallest_eig_constrained(B, B, np.array([1.0, 0.0, np.inf]))
