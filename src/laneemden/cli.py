@@ -44,7 +44,7 @@ def export_solution(mesh: Mesh, field: np.ndarray, path) -> None:
         write_mesh(mesh, path)
         with open(path, "a") as f:
             f.write("values\n")
-            for v in field:
+            for v in field.tolist():
                 f.write(f"{v:.17g}\n")
     except OSError as e:
         raise OSError(f"cannot write solution to {path}: {e}") from e
@@ -53,26 +53,21 @@ def export_solution(mesh: Mesh, field: np.ndarray, path) -> None:
 def import_solution(path):
     """Inverse of export_solution; returns (mesh, field)."""
     try:
-        lines = Path(path).read_text().splitlines()
+        tokens = Path(path).read_text().split()
     except OSError as e:
         raise OSError(f"cannot read solution from {path}: {e}") from e
-    if not lines:
-        raise MeshError(f"{path}: empty file")
-    try:
-        nv, nt = (int(tok) for tok in lines[0].split())
-    except ValueError:
-        raise MeshError(f"{path}: bad header {lines[0]!r}") from None
-    header = 1 + nv + nt
-    # Parsed first: it rejects counts that would make `header` index nonsense.
-    mesh = mesh_from_tokens(" ".join(lines[:header]).split(), where=str(path))
-    if len(lines) <= header or lines[header].strip() != "values":
+    mesh = mesh_from_tokens(tokens, where=str(path))
+    nv = mesh.n_vertices
+    at = 2 + 3 * nv + 3 * mesh.n_triangles
+    if tokens[at:at + 1] != ["values"]:
         raise MeshError(f"{path}: missing `values` section")
+    body = tokens[at + 1:at + 1 + nv]
+    if len(body) != nv:
+        raise MeshError(f"{path}: expected {nv} values")
     try:
-        values = np.array([float(s) for s in lines[header + 1: header + 1 + nv]])
+        values = np.array(body, dtype=np.float64)
     except ValueError:
         raise MeshError(f"{path}: malformed value in `values` section") from None
-    if values.size != nv:
-        raise MeshError(f"{path}: expected {nv} values")
     return mesh, values
 
 
@@ -95,7 +90,8 @@ def _add_solver_flags(sp):
     sp.add_argument("--eta", type=float, default=0.2,
                     help="mixing weight of the accelerated iteration; "
                          "step size of the --iters-fixed descent")
-    sp.add_argument("--max-iters", type=int, default=400)
+    sp.add_argument("--max-iters", type=int, default=400,
+                    help="cap on the accelerated steps; --iters-fixed is not capped")
     sp.add_argument("--iters-fixed", type=int, default=None,
                     help="run exactly N descent steps (published protocol: 60)")
     sp.add_argument("--quotient-tol", type=float, default=1e-10)

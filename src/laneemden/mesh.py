@@ -9,7 +9,7 @@ uniformly (4-way congruent splitting by edge midpoints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -103,13 +103,8 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
 
 
 def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    p = vertices
-    t = triangles
-    h = 0.0
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        d = p[t[:, a]] - p[t[:, b]]
-        h = max(h, float(np.sqrt((d * d).sum(axis=1).max())))
-    return h
+    d = vertices[triangles] - vertices[np.roll(triangles, -1, axis=1)]
+    return float(np.sqrt((d * d).sum(axis=2).max()))
 
 
 def build_unit_square(level: int) -> Mesh:
@@ -192,57 +187,53 @@ def _refine_structured(coarse: Mesh) -> Mesh:
     )
 
 
+def _edges(triangles: np.ndarray, nv: int):
+    """Edge table of a triangulation with nv vertices.
+
+    Returns the unique edges (ne, 2), sorted by (low, high) endpoint; each
+    triangle's edges 01, 12, 20 as indices into them (nt, 3); and the
+    number of triangles on each edge (ne,).
+    """
+    ends = np.roll(triangles, -1, axis=1)  # second endpoints of 01, 12, 20
+    keys = np.minimum(triangles, ends) * nv + np.maximum(triangles, ends)
+    keys, tri_edges, counts = np.unique(keys.ravel(), return_inverse=True,
+                                        return_counts=True)
+    edges = np.column_stack([keys // nv, keys % nv])
+    return edges, tri_edges.reshape(triangles.shape), counts
+
+
 def refine_uniform(coarse: Mesh) -> Mesh:
-    """Split every triangle into 4 congruent children by edge midpoints."""
+    """Split every triangle into 4 congruent children by edge midpoints.
+
+    Midpoint vertices follow the coarse vertices in sorted edge order.
+    """
     if coarse.structured:
         return _refine_structured(coarse)
 
     nvc = coarse.n_vertices
-    tris = coarse.triangles
-    edge_count: dict[tuple[int, int], int] = {}
-    for tri in tris:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edge_count[key] = edge_count.get(key, 0) + 1
+    edges, tri_edges, counts = _edges(coarse.triangles, nvc)
+    p = coarse.vertices
+    vertices = np.vstack([p, 0.5 * (p[edges[:, 0]] + p[edges[:, 1]])])
 
-    edges = sorted(edge_count)  # deterministic midpoint ordering
-    midpoint_index = {e: nvc + k for k, e in enumerate(edges)}
-
-    edge_arr = np.asarray(edges, dtype=np.int64)
-    mid_coords = 0.5 * (coarse.vertices[edge_arr[:, 0]] + coarse.vertices[edge_arr[:, 1]])
-    vertices = np.vstack([coarse.vertices, mid_coords])
-
-    is_boundary = np.concatenate([
-        coarse.is_boundary,
-        np.array([edge_count[e] == 1 for e in edges], dtype=bool),
-    ])
-    parent_vertex = np.concatenate([
-        np.arange(nvc, dtype=np.int64),
-        np.full(len(edges), -1, dtype=np.int64),
-    ])
-    parent_edge = np.vstack([
-        np.full((nvc, 2), -1, dtype=np.int64),
-        edge_arr,
-    ])
-
-    children = np.empty((4 * coarse.n_triangles, 3), dtype=np.int64)
-    for i, tri in enumerate(tris):
-        a, b, c = int(tri[0]), int(tri[1]), int(tri[2])
-        mab = midpoint_index[(min(a, b), max(a, b))]
-        mbc = midpoint_index[(min(b, c), max(b, c))]
-        mca = midpoint_index[(min(c, a), max(c, a))]
-        children[4 * i + 0] = (a, mab, mca)
-        children[4 * i + 1] = (mab, b, mbc)
-        children[4 * i + 2] = (mca, mbc, c)
-        children[4 * i + 3] = (mab, mbc, mca)
+    a, b, c = coarse.triangles.T
+    mab, mbc, mca = (nvc + tri_edges).T
+    children = np.column_stack([
+        a, mab, mca,
+        mab, b, mbc,
+        mca, mbc, c,
+        mab, mbc, mca,
+    ]).reshape(-1, 3)
 
     return Mesh(
         level=coarse.level + 1,
         vertices=vertices,
         triangles=children,
-        is_boundary=is_boundary,
-        parent_vertex=parent_vertex,
-        parent_edge=parent_edge,
+        is_boundary=np.concatenate([coarse.is_boundary, counts == 1]),
+        parent_vertex=np.concatenate([
+            np.arange(nvc, dtype=np.int64),
+            np.full(len(edges), -1, dtype=np.int64),
+        ]),
+        parent_edge=np.vstack([np.full((nvc, 2), -1, dtype=np.int64), edges]),
         parent_nv=nvc,
         h=_longest_edge(vertices, children),
         structured=False,
@@ -270,25 +261,19 @@ def prolongate(coarse_field: np.ndarray, fine: Mesh) -> np.ndarray:
 
 def validate_mesh(mesh: Mesh) -> None:
     """Raise MeshError if any structural invariant fails."""
-    areas = triangle_areas(mesh)
-    if np.any(areas <= 0):
-        raise MeshError("non-positive triangle area")
     if not np.all(np.isfinite(mesh.vertices)):
         raise MeshError("non-finite vertex coordinates")
+    if np.any(triangle_areas(mesh) <= 0):
+        raise MeshError("non-positive triangle area")
 
-    edge_count: dict[tuple[int, int], int] = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edge_count[key] = edge_count.get(key, 0) + 1
-    for (a, b), cnt in edge_count.items():
-        if cnt == 2:
-            continue
-        if cnt == 1 and mesh.is_boundary[a] and mesh.is_boundary[b]:
-            continue
+    edges, _, counts = _edges(mesh.triangles, mesh.n_vertices)
+    on_boundary = mesh.is_boundary[edges].all(axis=1)
+    bad = np.flatnonzero((counts != 2) & ~((counts == 1) & on_boundary))
+    if bad.size:
+        (a, b), cnt = edges[bad[0]], counts[bad[0]]
         raise MeshError(f"edge ({a},{b}) shared by {cnt} triangles")
 
-    euler = mesh.n_vertices - len(edge_count) + (mesh.n_triangles + 1)
+    euler = mesh.n_vertices - edges.shape[0] + (mesh.n_triangles + 1)
     if euler != 2:
         raise MeshError(f"Euler characteristic {euler} != 2")
 
@@ -297,9 +282,9 @@ def write_mesh(mesh: Mesh, path) -> None:
     """Write the line-oriented mesh text format (round-trips bit-exactly)."""
     with open(path, "w") as f:
         f.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
-        for (x, y), b in zip(mesh.vertices, mesh.is_boundary):
-            f.write(f"{float(x)!r} {float(y)!r} {int(b)}\n")
-        for i, j, k in mesh.triangles:
+        for (x, y), b in zip(mesh.vertices.tolist(), mesh.is_boundary.tolist()):
+            f.write(f"{x!r} {y!r} {int(b)}\n")
+        for i, j, k in mesh.triangles.tolist():
             f.write(f"{i} {j} {k}\n")
 
 
@@ -320,7 +305,7 @@ def mesh_from_tokens(tokens: list[str], where: str = "<mesh>") -> Mesh:
     try:
         vdata = np.array(body[: 3 * nv], dtype=np.float64).reshape(nv, 3)
         tdata = np.array(body[3 * nv:], dtype=np.int64).reshape(nt, 3)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise MeshError(f"{where}: malformed token ({e})") from None
     if tdata.min() < 0 or tdata.max() >= nv:
         raise MeshError(f"{where}: triangle vertex index outside [0, {nv})")
@@ -332,11 +317,11 @@ def mesh_from_tokens(tokens: list[str], where: str = "<mesh>") -> Mesh:
         parent_vertex=np.full(nv, -1, dtype=np.int64),
         parent_edge=np.full((nv, 2), -1, dtype=np.int64),
         parent_nv=0,
-        h=_longest_edge(vdata[:, :2], tdata),
+        h=np.nan,  # set once validated, since edges between infinite points are NaN
         structured=False,
     )
     validate_mesh(mesh)
-    return mesh
+    return replace(mesh, h=_longest_edge(mesh.vertices, tdata))
 
 
 def read_mesh(path) -> Mesh:

@@ -153,8 +153,9 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
 
     Stops when the relative quotient change drops below quotient_tol and
     the Euler-Lagrange residual is below residual_tol (or after exactly
-    iters_fixed steps in paper-protocol mode).  Returns the best iterate
-    flagged unconverged if max_iters is exhausted.
+    iters_fixed steps in paper-protocol mode, which max_iters does not
+    cap).  Returns the best iterate flagged unconverged if max_iters is
+    exhausted.
 
     Each step maps u to g = _step(u) with residual f = g - u and moves to
     v = g - dG gamma, gamma = argmin |dR gamma - f|, where the rows of dG
@@ -169,13 +170,14 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
         u0 = initial_guess(mesh, config.p, config.quad_degree)
     u, energy, F, residual = _evaluate(ws, np.asarray(u0, dtype=np.float64))
     quotient = np.sqrt(energy)
-    depth = 0 if config.iters_fixed is not None else ANDERSON_DEPTH
+    fixed = config.iters_fixed is not None
+    depth = 0 if fixed else ANDERSON_DEPTH
     idx = ws.interior
     dG = np.empty((depth, idx.size))  # ring buffers, row (k - 2) % depth
     dR = np.empty((depth, idx.size))
-    stop = "max_iters"
+    stop = "iters_fixed" if fixed else "max_iters"
     iterations = 0
-    for k in range(1, config.max_iters + 1):
+    for k in range(1, (config.iters_fixed if fixed else config.max_iters) + 1):
         iterations = k
         prev = quotient
         v = _step(ws, u, energy, F)
@@ -191,12 +193,8 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
             g_prev, f_prev = g, f
         u, energy, F, residual = _evaluate(ws, v)
         quotient = np.sqrt(energy)
-        if config.iters_fixed is not None:
-            if k >= config.iters_fixed:
-                stop = "iters_fixed"
-                break
-        elif (abs(quotient - prev) <= config.quotient_tol * quotient
-              and residual <= config.residual_tol):
+        if (not fixed and abs(quotient - prev) <= config.quotient_tol * quotient
+                and residual <= config.residual_tol):
             stop = "stagnated"
             break
 

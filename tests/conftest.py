@@ -32,3 +32,17 @@ def weighted_mass_degrees(monkeypatch) -> list:
 
     monkeypatch.setattr(assembly, "assemble_weighted_mass", spy)
     return degrees
+
+
+@pytest.fixture(scope="session")
+def hexagon_text():
+    """Mesh text of the unit regular hexagon fanned around its centre
+    (vertex 0, the only interior vertex), rotated by the angle theta."""
+    def build(theta: float = 0.0) -> str:
+        angles = theta + np.arange(6) * (np.pi / 3)
+        ring = [f"{x!r} {y!r} 1" for x, y in zip(np.cos(angles).tolist(),
+                                                   np.sin(angles).tolist())]
+        fan = [f"0 {k} {k % 6 + 1}" for k in range(1, 7)]
+        return "\n".join(["7 6", "0.0 0.0 0", *ring, *fan]) + "\n"
+
+    return build

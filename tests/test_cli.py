@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from laneemden.cli import (
     EXIT_IO,
@@ -11,7 +14,10 @@ from laneemden.cli import (
     main,
 )
 from laneemden.errors import MeshError
-from laneemden.mesh import MAX_LEVEL, build_unit_square
+from laneemden.mesh import MAX_LEVEL, build_unit_square, mesh_from_tokens, refine_uniform
+
+# Any text, plus integer and float literals, which arbitrary text rarely hits.
+TOKENS = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr))
 
 
 def test_usage_error_on_bad_p(tmp_path):
@@ -49,7 +55,11 @@ def test_io_error_on_missing_mesh(tmp_path):
     "three one\n0 0 1\n1 0 1\n0 1 1\n0 1 2\n",   # bad header
     "3 1\n0 0 1\n1 zero 1\n0 1 1\n0 1 2\n",    # bad coordinate token
     "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 3\n",       # vertex index out of range
-], ids=["header", "token", "index"])
+    "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 99999999999999999999\n",  # index overflows int64
+    "3 1\n0 0 1\n1 1e999 1\n0 1 1\n0 1 2\n",  # infinite coordinate
+], ids=["header", "token", "index", "overflow", "infinite"])
+# A warning would reach a user's terminal as extra stderr lines.
+@pytest.mark.filterwarnings("error")
 def test_io_error_on_malformed_mesh(tmp_path, capsys, text):
     path = tmp_path / "bad.mesh"
     path.write_text(text)
@@ -137,6 +147,58 @@ def test_import_solution_malformed_raises_mesh_error(tmp_path, text):
     assert len(str(err.value).splitlines()) == 1
 
 
+@settings(max_examples=20, deadline=None, database=None)
+@given(theta=st.floats(0.0, np.pi / 3), depth=st.integers(0, 3), data=st.data())
+def test_export_import_bit_exact(tmp_path_factory, hexagon_text, theta, depth, data):
+    mesh = mesh_from_tokens(hexagon_text(theta).split())
+    for _ in range(depth):
+        mesh = refine_uniform(mesh)
+    field = data.draw(arrays(np.float64, mesh.n_vertices,
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    export_solution(mesh, field, path)
+    mesh2, field2 = import_solution(path)
+    for a, b in ((mesh.vertices, mesh2.vertices), (mesh.triangles, mesh2.triangles),
+                 (mesh.is_boundary, mesh2.is_boundary), (field, field2)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def solution_text(tmp_path_factory, hexagon_text):
+    """A valid solution file: the rotated hexagon, refined once, and a field."""
+    mesh = refine_uniform(mesh_from_tokens(hexagon_text(0.3).split()))
+    path = tmp_path_factory.mktemp("solution") / "valid.txt"
+    export_solution(mesh, np.random.default_rng(5).standard_normal(mesh.n_vertices), path)
+    return path.read_text()
+
+
+def _imports_or_mesh_error(path):
+    try:
+        import_solution(path)
+    except MeshError:
+        pass
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_truncated_solution_imports_or_raises_mesh_error(tmp_path_factory, solution_text,
+                                                        data):
+    path = tmp_path_factory.getbasetemp() / "truncated.txt"
+    path.write_text(solution_text[:data.draw(st.integers(0, len(solution_text)))])
+    _imports_or_mesh_error(path)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def test_replaced_solution_token_imports_or_raises_mesh_error(tmp_path_factory,
+                                                             solution_text, data):
+    tokens = solution_text.split()
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(TOKENS)
+    path = tmp_path_factory.getbasetemp() / "replaced.txt"
+    path.write_text("\n".join(tokens))
+    _imports_or_mesh_error(path)
+
+
 def test_export_line_counts(tmp_path):
     mesh = build_unit_square(1)
     path = tmp_path / "sol.txt"
@@ -174,13 +236,12 @@ def test_solve_from_mesh_file_domain(tmp_path, capsys):
 
 @pytest.mark.parametrize("level", ["-1", str(MAX_LEVEL + 1)])
 @pytest.mark.parametrize("command", ["solve", "diagnose"])
-def test_mesh_domain_level_out_of_range(tmp_path, capsys, monkeypatch, command, level):
-    # a hexagon fanned around one interior vertex: level 0 is solvable, so
-    # only the range check can stop level -1
-    ring = [f"{float(np.cos(a))!r} {float(np.sin(a))!r} 1" for a in np.arange(6) * np.pi / 3]
-    fan = [f"0 {k} {k % 6 + 1}" for k in range(1, 7)]
+def test_mesh_domain_level_out_of_range(tmp_path, capsys, monkeypatch, hexagon_text,
+                                       command, level):
+    # the hexagon has an interior vertex: level 0 is solvable, so only the
+    # range check can stop level -1
     mesh_path = tmp_path / "hexagon.mesh"
-    mesh_path.write_text("\n".join(["7 6", "0.0 0.0 0", *ring, *fan]) + "\n")
+    mesh_path.write_text(hexagon_text())
 
     def no_refinement(mesh):
         raise AssertionError("refined a mesh at an out-of-range level")

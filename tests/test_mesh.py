@@ -1,10 +1,16 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from laneemden.errors import ConfigError, DimensionError
+from laneemden.errors import ConfigError, DimensionError, MeshError
 from laneemden.mesh import (
     Mesh,
+    _longest_edge,
     build_unit_square,
+    mesh_from_tokens,
     prolongate,
     read_mesh,
     refine_uniform,
@@ -12,6 +18,9 @@ from laneemden.mesh import (
     validate_mesh,
     write_mesh,
 )
+
+# Any text, plus integer and float literals, which arbitrary text rarely hits.
+TOKENS = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr))
 
 
 @pytest.mark.parametrize("level,nv,nt", [
@@ -159,3 +168,103 @@ def test_mesh_file_round_trip(tmp_path):
     path2 = tmp_path / "square2.mesh"
     write_mesh(m2, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _dict_refine(coarse: Mesh) -> Mesh:
+    """Per-triangle dict-based unstructured refinement, kept as the reference
+    that the edge-table refinement in refine_uniform must reproduce bit for bit."""
+    nvc = coarse.n_vertices
+    tris = coarse.triangles
+    edge_count = {}
+    for tri in tris:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            edge_count[key] = edge_count.get(key, 0) + 1
+    edges = sorted(edge_count)
+    midpoint_index = {e: nvc + k for k, e in enumerate(edges)}
+    edge_arr = np.asarray(edges, dtype=np.int64)
+    mid_coords = 0.5 * (coarse.vertices[edge_arr[:, 0]] + coarse.vertices[edge_arr[:, 1]])
+    vertices = np.vstack([coarse.vertices, mid_coords])
+    children = np.empty((4 * coarse.n_triangles, 3), dtype=np.int64)
+    for i, tri in enumerate(tris):
+        a, b, c = int(tri[0]), int(tri[1]), int(tri[2])
+        mab = midpoint_index[(min(a, b), max(a, b))]
+        mbc = midpoint_index[(min(b, c), max(b, c))]
+        mca = midpoint_index[(min(c, a), max(c, a))]
+        children[4 * i + 0] = (a, mab, mca)
+        children[4 * i + 1] = (mab, b, mbc)
+        children[4 * i + 2] = (mca, mbc, c)
+        children[4 * i + 3] = (mab, mbc, mca)
+    return Mesh(
+        level=coarse.level + 1,
+        vertices=vertices,
+        triangles=children,
+        is_boundary=np.concatenate([
+            coarse.is_boundary,
+            np.array([edge_count[e] == 1 for e in edges], dtype=bool),
+        ]),
+        parent_vertex=np.concatenate([
+            np.arange(nvc, dtype=np.int64),
+            np.full(len(edges), -1, dtype=np.int64),
+        ]),
+        parent_edge=np.vstack([np.full((nvc, 2), -1, dtype=np.int64), edge_arr]),
+        parent_nv=nvc,
+        h=_longest_edge(vertices, children),
+    )
+
+
+def test_unstructured_refinement_matches_dict_reference(hexagon_text):
+    theta = float(np.random.default_rng(3).uniform(0.0, np.pi / 3))
+    mesh = mesh_from_tokens(hexagon_text(theta).split())
+    for _ in range(4):
+        fine = refine_uniform(mesh)
+        ref = _dict_refine(mesh)
+        for name in ("vertices", "triangles", "is_boundary", "parent_vertex", "parent_edge"):
+            got, want = getattr(fine, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert fine.h == ref.h
+        assert fine.parent_nv == ref.parent_nv and not fine.structured
+        mesh = fine
+
+
+@pytest.mark.parametrize("text, message", [
+    # edge (0,1) under three triangles, all positively oriented
+    ("5 3\n0 0 1\n1 0 1\n0.5 1 1\n0.5 -1 1\n0.5 2 1\n0 1 2\n1 0 3\n0 1 4\n",
+     "edge (0,1) shared by 3 triangles"),
+    # vertex 2 is flagged interior but lies on two edges used once
+    ("3 1\n0 0 1\n1 0 1\n0 1 0\n0 1 2\n", "shared by 1 triangles"),
+    # every edge used once between boundary vertices, but V - E + F = 6 - 6 + 2
+    ("6 2\n0 0 1\n1 0 1\n0 1 1\n2 0 1\n3 0 1\n2 1 1\n0 1 2\n3 4 5\n",
+     "Euler characteristic 3 != 2"),
+], ids=["three-triangles", "interior-endpoint", "disjoint"])
+def test_validate_mesh_rejects(text, message):
+    with pytest.raises(MeshError, match=re.escape(message)):
+        mesh_from_tokens(text.split())
+
+
+def _reads_or_mesh_error(path):
+    try:
+        read_mesh(path)
+    except MeshError:
+        pass
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(theta=st.floats(0.0, np.pi / 3), data=st.data())
+def test_truncated_mesh_file_reads_or_raises_mesh_error(tmp_path_factory, hexagon_text,
+                                                       theta, data):
+    text = hexagon_text(theta)
+    path = tmp_path_factory.getbasetemp() / "truncated.mesh"
+    path.write_text(text[:data.draw(st.integers(0, len(text)))])
+    _reads_or_mesh_error(path)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(theta=st.floats(0.0, np.pi / 3), data=st.data())
+def test_replaced_mesh_token_reads_or_raises_mesh_error(tmp_path_factory, hexagon_text,
+                                                       theta, data):
+    tokens = hexagon_text(theta).split()
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = data.draw(TOKENS)
+    path = tmp_path_factory.getbasetemp() / "replaced.mesh"
+    path.write_text("\n".join(tokens))
+    _reads_or_mesh_error(path)

@@ -250,6 +250,14 @@ def test_iters_fixed_runs_exact_count():
     assert sol.converged
 
 
+def test_iters_fixed_not_capped_by_max_iters():
+    # max_iters (default 400) caps only the converged solve
+    cfg = MinimizerConfig(p=4.0, iters_fixed=500)
+    sol = solve_extremal(build_unit_square(2), cfg)
+    assert sol.iterations == 500
+    assert sol.stop == "iters_fixed"
+
+
 def test_nan_start_raises_numerics_error():
     m = build_unit_square(2)
     u0 = np.full(m.n_vertices, np.nan)
