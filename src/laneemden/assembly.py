@@ -1,7 +1,16 @@
 """P1 matrix/vector assembly with symmetric triangle quadrature.
 
-All assembly is vectorized over elements but accumulates in triangle
-index order, so results are deterministic.
+Every kernel works corner-major: nodal values are gathered through
+``Mesh.corners`` into (3, nt) arrays, quadrature-point values are
+(nq, nt) and per-triangle blocks (3, nt) or (3, 3, nt), so each pass runs
+over contiguous rows of length nt.  Accumulation follows the fixed corner
+order, so results are deterministic.
+
+The small products here are shaped so that OpenBLAS runs them in the
+calling thread: a call it splits across its thread pool leaves the pool's
+workers spin-waiting for the next one, so a descent making such calls on
+every step keeps a second CPU busy while computing on one.  Long vector
+reductions go through ``inner`` for the same reason.
 """
 
 from __future__ import annotations
@@ -80,29 +89,49 @@ def triangle_rule(degree: int = 5) -> QuadratureRule:
     return _conical_rule(degree)
 
 
+def inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two vectors, summed in the calling thread.
+
+    ``a @ b`` and ``np.linalg.norm`` call BLAS ddot, which OpenBLAS splits
+    across its thread pool above 10 000 entries; einsum never calls BLAS.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def point_values(mesh: Mesh, u: np.ndarray, rule: QuadratureRule) -> np.ndarray:
+    """Values (nq, nt) of the P1 interpolant of u at the rule's points."""
+    return rule.points @ u[mesh.corners]
+
+
 def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).ravel()
-    cols = np.tile(t, (1, 3)).ravel()
+    """Sum per-triangle blocks local[i, j, t] (3, 3, nt) into a CSR matrix."""
+    c = mesh.corners
+    rows = np.broadcast_to(c[:, None, :], local.shape).ravel()
+    cols = np.broadcast_to(c[None, :, :], local.shape).ravel()
     n = mesh.n_vertices
-    # tocsr sums duplicates in triangle order and sorts the indices.  Exact
-    # zeros (the stiffness couplings across right-triangle hypotenuses) are
-    # dropped: the stored pattern fixes the factorization's ordering.
+    # tocsr sums duplicates and sorts the indices.  Exact zeros (the
+    # stiffness couplings across right-triangle hypotenuses) are dropped:
+    # the stored pattern fixes the factorization's ordering.
     A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     A.eliminate_zeros()
     return A
 
 
-def _scatter_vector(mesh: Mesh, local: np.ndarray) -> np.ndarray:
-    # bincount adds in triangle index order, like the matrix scatter
-    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+def _load(mesh: Mesh, rule: QuadratureRule, fq: np.ndarray) -> np.ndarray:
+    """Load vector b_i = sum_T area_T sum_q w_q fq[q, T] lam_qi of point values fq."""
+    local = (rule.points.T * rule.weights) @ fq   # (3, nt)
+    local *= mesh.geometry[0]
+    return np.bincount(mesh.corners.ravel(), weights=local.ravel(),
                        minlength=mesh.n_vertices)
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j)."""
     area, grads = mesh.geometry
-    local = area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads)
+    gx = grads[:, :, 0].T   # (3, nt)
+    gy = grads[:, :, 1].T
+    local = gx[:, None] * gx + gy[:, None] * gy
+    local *= area
     return _scatter(mesh, local)
 
 
@@ -110,8 +139,7 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent mass matrix; local block (area/12) [[2,1,1],[1,2,1],[1,1,2]]."""
     area, _ = mesh.geometry
     block = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = area[:, None, None] * block
-    return _scatter(mesh, local)
+    return _scatter(mesh, block[:, :, None] * area)
 
 
 def assemble_weighted_mass(
@@ -122,11 +150,15 @@ def assemble_weighted_mass(
         raise ConfigError(f"exponent must be >= 0, got {exponent}")
     w = _check_field(mesh, w)
     rule = triangle_rule(degree)
-    area, _ = mesh.geometry
-    lam = rule.points                     # (nq, 3)
-    wq = w[mesh.triangles] @ lam.T        # (nt, nq)
-    fac = rule.weights * np.abs(wq) ** exponent  # 0**0 == 1, so exponent 0 gives mass
-    local = area[:, None, None] * np.einsum("tq,qi,qj->tij", fac, lam, lam)
+    lam = rule.points
+    fac = point_values(mesh, w, rule)
+    np.abs(fac, out=fac)
+    fac **= exponent                      # 0**0 == 1, so exponent 0 gives mass
+    table = lam.T * rule.weights          # (3, nq)
+    # One (3, nq) product per row of the block: OpenBLAS threads a single
+    # (9, nq) one from about 2^14 triangles on.
+    local = np.stack([(table * lam[:, i]) @ fac for i in range(3)])
+    local *= mesh.geometry[0]
     return _scatter(mesh, local)
 
 
@@ -136,24 +168,19 @@ def nonlinear_load(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> np.n
         raise ConfigError(f"p must be > 2, got {p}")
     u = _check_field(mesh, u)
     rule = triangle_rule(degree)
-    area, _ = mesh.geometry
-    lam = rule.points
-    uq = u[mesh.triangles] @ lam.T
-    fq = np.abs(uq) ** (p - 2.0) * uq
-    local = area[:, None] * ((rule.weights * fq) @ lam)   # (nt, 3)
-    return _scatter_vector(mesh, local)
+    uq = point_values(mesh, u, rule)
+    fq = np.abs(uq)
+    fq **= p - 2.0
+    fq *= uq
+    return _load(mesh, rule, fq)
 
 
 def load_vector(mesh: Mesh, f, degree: int = 5) -> np.ndarray:
     """Load vector of a coordinate function f(x, y) (for linear problems)."""
     rule = triangle_rule(degree)
-    area, _ = mesh.geometry
-    lam = rule.points
-    coords = mesh.vertices[mesh.triangles]                 # (nt, 3, 2)
-    xq = np.einsum("qk,tkd->tqd", lam, coords)             # (nt, nq, 2)
-    fq = f(xq[..., 0], xq[..., 1])
-    local = area[:, None] * ((rule.weights * fq) @ lam)
-    return _scatter_vector(mesh, local)
+    x = point_values(mesh, mesh.vertices[:, 0], rule)
+    y = point_values(mesh, mesh.vertices[:, 1], rule)
+    return _load(mesh, rule, f(x, y))
 
 
 def lp_norm(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> float:
@@ -162,10 +189,10 @@ def lp_norm(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> float:
         raise ConfigError(f"p must be positive, got {p}")
     u = _check_field(mesh, u)
     rule = triangle_rule(degree)
-    area, _ = mesh.geometry
-    uq = u[mesh.triangles] @ rule.points.T
-    total = float(area @ (np.abs(uq) ** p @ rule.weights))
-    return total ** (1.0 / p)
+    uq = point_values(mesh, u, rule)
+    np.abs(uq, out=uq)
+    uq **= p
+    return inner(rule.weights @ uq, mesh.geometry[0]) ** (1.0 / p)
 
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from .mesh import (
     build_unit_square,
     mesh_from_tokens,
     read_mesh,
+    read_tokens,
     refine_uniform,
     write_mesh,
 )
@@ -53,7 +54,7 @@ def export_solution(mesh: Mesh, field: np.ndarray, path) -> None:
 def import_solution(path):
     """Inverse of export_solution; returns (mesh, field)."""
     try:
-        tokens = Path(path).read_text().split()
+        tokens = read_tokens(path)
     except OSError as e:
         raise OSError(f"cannot read solution from {path}: {e}") from e
     mesh = mesh_from_tokens(tokens, where=str(path))

@@ -9,7 +9,7 @@ uniformly (4-way congruent splitting by edge midpoints).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -80,6 +80,18 @@ class Mesh:
         area.flags.writeable = False
         grads.flags.writeable = False
         return area, grads
+
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """Vertex indices corner-major: the contiguous (3, nt) transpose of
+        ``triangles``, read-only and cached like ``geometry``.
+
+        Gathering nodal values through it gives (3, nt) arrays whose rows
+        are contiguous, which is the layout of every quadrature kernel.
+        """
+        c = self.triangles.T.copy()
+        c.flags.writeable = False
+        return c
 
     @cached_property
     def stiffness(self):
@@ -263,7 +275,12 @@ def validate_mesh(mesh: Mesh) -> None:
     """Raise MeshError if any structural invariant fails."""
     if not np.all(np.isfinite(mesh.vertices)):
         raise MeshError("non-finite vertex coordinates")
-    if np.any(triangle_areas(mesh) <= 0):
+    # Finite coordinates can still be too large to subtract or multiply.
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = triangle_areas(mesh)
+    if not (np.isfinite(mesh.h) and np.all(np.isfinite(areas))):
+        raise MeshError("edge lengths or triangle areas overflow")
+    if np.any(areas <= 0):
         raise MeshError("non-positive triangle area")
 
     edges, _, counts = _edges(mesh.triangles, mesh.n_vertices)
@@ -309,23 +326,33 @@ def mesh_from_tokens(tokens: list[str], where: str = "<mesh>") -> Mesh:
         raise MeshError(f"{where}: malformed token ({e})") from None
     if tdata.min() < 0 or tdata.max() >= nv:
         raise MeshError(f"{where}: triangle vertex index outside [0, {nv})")
+    vertices = vdata[:, :2].copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = _longest_edge(vertices, tdata)  # validate_mesh rejects inf and NaN
     mesh = Mesh(
         level=0,
-        vertices=vdata[:, :2].copy(),
+        vertices=vertices,
         triangles=tdata,
         is_boundary=vdata[:, 2] != 0.0,
         parent_vertex=np.full(nv, -1, dtype=np.int64),
         parent_edge=np.full((nv, 2), -1, dtype=np.int64),
         parent_nv=0,
-        h=np.nan,  # set once validated, since edges between infinite points are NaN
+        h=h,
         structured=False,
     )
     validate_mesh(mesh)
-    return replace(mesh, h=_longest_edge(mesh.vertices, tdata))
+    return mesh
+
+
+def read_tokens(path) -> list[str]:
+    """Whitespace-split tokens of a UTF-8 text file; MeshError if it is not one."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().split()
+    except UnicodeDecodeError as e:
+        raise MeshError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def read_mesh(path) -> Mesh:
     """Read the mesh text format; genealogy fields are empty (root mesh)."""
-    with open(path) as f:
-        tokens = f.read().split()
-    return mesh_from_tokens(tokens, where=str(path))
+    return mesh_from_tokens(read_tokens(path), where=str(path))

@@ -93,7 +93,7 @@ def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5)
     u = np.asarray(u, dtype=np.float64)
     if not np.any(u):
         raise ValueError("Rayleigh quotient undefined for the zero field")
-    energy = float(u @ (mesh.stiffness @ u))
+    energy = assembly.inner(u, mesh.stiffness @ u)
     return np.sqrt(energy) / assembly.lp_norm(mesh, u, p, quad_degree)
 
 
@@ -106,7 +106,7 @@ def _evaluate(ws: _Workspace, v: np.ndarray):
     """
     p = ws.config.p
     Fv = assembly.nonlinear_load(ws.mesh, v, p, ws.config.quad_degree)
-    total = float(v @ Fv)
+    total = assembly.inner(v, Fv)
     # Tested before the root, since a negative float to the power 1/p is
     # complex; a NaN fails the test too.
     if not 0.0 < total < math.inf:
@@ -115,12 +115,13 @@ def _evaluate(ws: _Workspace, v: np.ndarray):
     u = v / norm
     F = Fv / norm ** (p - 1.0)
     Ku = ws.mesh.stiffness @ u
-    energy = float(u @ Ku)
+    energy = assembly.inner(u, Ku)
     # With |u|_p = 1 the multiplier-1 scale s satisfies s^(p-2) = energy,
     # and the scaled residual reduces to |Ku - energy F| / (energy |F|).
-    r = Ku[ws.interior] - energy * F[ws.interior]
-    denom = energy * float(np.linalg.norm(F[ws.interior]))
-    residual = float(np.linalg.norm(r)) / denom if denom > 0 else np.inf
+    F_int = F[ws.interior]
+    r = Ku[ws.interior] - energy * F_int
+    denom = energy * math.sqrt(assembly.inner(F_int, F_int))
+    residual = math.sqrt(assembly.inner(r, r)) / denom if denom > 0 else np.inf
     return u, energy, F, residual
 
 

@@ -51,8 +51,8 @@ def inter_level_error(coarse_field: np.ndarray, fine_field: np.ndarray,
     d = prolongate(coarse_field, fine_mesh) - fine_field
     M = assembly.assemble_mass(fine_mesh)
     K = fine_mesh.stiffness
-    l2 = math.sqrt(max(float(d @ (M @ d)), 0.0))
-    h1 = math.sqrt(max(float(d @ (K @ d)), 0.0))
+    l2 = math.sqrt(max(assembly.inner(d, M @ d), 0.0))
+    h1 = math.sqrt(max(assembly.inner(d, K @ d), 0.0))
     return l2, h1
 
 
@@ -174,16 +174,14 @@ def _error_vs_exact(mesh: Mesh, u: np.ndarray, degree: int = 8):
     """Quadrature L2/H1-seminorm errors against the exact sine solution."""
     rule = assembly.triangle_rule(degree)
     area, grads = mesh.geometry
-    lam = rule.points
-    coords = mesh.vertices[mesh.triangles]
-    xq = np.einsum("qk,tkd->tqd", lam, coords)
-    uq = u[mesh.triangles] @ lam.T
-    diff = uq - _exact(xq[..., 0], xq[..., 1])
-    l2 = math.sqrt(float(area @ (diff ** 2 @ rule.weights)))
-    gu = np.einsum("tk,tkd->td", u[mesh.triangles], grads)   # piecewise-constant
-    gx, gy = _exact_grad(xq[..., 0], xq[..., 1])
-    gdiff = (gu[:, None, 0] - gx) ** 2 + (gu[:, None, 1] - gy) ** 2
-    h1 = math.sqrt(float(area @ (gdiff @ rule.weights)))
+    x = assembly.point_values(mesh, mesh.vertices[:, 0], rule)   # (nq, nt)
+    y = assembly.point_values(mesh, mesh.vertices[:, 1], rule)
+    diff = assembly.point_values(mesh, u, rule) - _exact(x, y)
+    l2 = math.sqrt(assembly.inner(rule.weights @ diff ** 2, area))
+    gu = np.einsum("kt,tkd->dt", u[mesh.corners], grads)   # piecewise-constant
+    gx, gy = _exact_grad(x, y)
+    gdiff = (gu[0] - gx) ** 2 + (gu[1] - gy) ** 2
+    h1 = math.sqrt(assembly.inner(rule.weights @ gdiff, area))
     return l2, h1
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 
 from laneemden.assembly import (
@@ -9,6 +10,7 @@ from laneemden.assembly import (
     assemble_stiffness,
     assemble_weighted_mass,
     extend_zero,
+    load_vector,
     lp_norm,
     nonlinear_load,
     restrict_interior,
@@ -267,3 +269,108 @@ def test_stiffness_cached_read_only():
         assert np.array_equal(getattr(K, name), getattr(fresh, name))
         with pytest.raises(ValueError):
             getattr(K, name)[0] = 0
+
+
+def test_corners_cached_read_only():
+    m = _hexagon(1)
+    c = m.corners
+    assert m.corners is c
+    assert c.flags.c_contiguous and np.array_equal(c, m.triangles.T)
+    with pytest.raises(ValueError):
+        c[0, 0] = 0
+
+
+# Triangle-major reference copies of the kernels: (nt, nq) point values and
+# (nt, 3) or (nt, 3, 3) blocks, summed in triangle index order.
+
+def _tm_point_values(mesh, u, rule):
+    return u[mesh.triangles] @ rule.points.T
+
+
+def _tm_vector(mesh, rule, fq):
+    area, _ = mesh.geometry
+    local = area[:, None] * ((rule.weights * fq) @ rule.points)
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.n_vertices)
+
+
+def _tm_matrix(mesh, local):
+    t = mesh.triangles
+    n = mesh.n_vertices
+    A = sp.coo_matrix((local.ravel(), (np.repeat(t, 3, axis=1).ravel(),
+                                       np.tile(t, (1, 3)).ravel())), shape=(n, n)).tocsr()
+    A.eliminate_zeros()
+    return A
+
+
+def _tm_load(mesh, u, p, degree):
+    rule = triangle_rule(degree)
+    uq = _tm_point_values(mesh, u, rule)
+    return _tm_vector(mesh, rule, np.abs(uq) ** (p - 2.0) * uq)
+
+
+def _tm_lp_norm(mesh, u, p, degree):
+    rule = triangle_rule(degree)
+    area, _ = mesh.geometry
+    uq = _tm_point_values(mesh, u, rule)
+    return float(area @ (np.abs(uq) ** p @ rule.weights)) ** (1.0 / p)
+
+
+def _tm_weighted_mass(mesh, w, exponent, degree):
+    rule = triangle_rule(degree)
+    area, _ = mesh.geometry
+    lam = rule.points
+    fac = rule.weights * np.abs(_tm_point_values(mesh, w, rule)) ** exponent
+    return _tm_matrix(mesh, area[:, None, None] * np.einsum("tq,qi,qj->tij", fac, lam, lam))
+
+
+def _tm_stiffness(mesh):
+    area, grads = mesh.geometry
+    return _tm_matrix(mesh, area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads))
+
+
+def _tm_load_vector(mesh, f, degree):
+    rule = triangle_rule(degree)
+    xq = np.einsum("qk,tkd->tqd", rule.points, mesh.vertices[mesh.triangles])
+    return _tm_vector(mesh, rule, f(xq[..., 0], xq[..., 1]))
+
+
+def _rel(got, want):
+    if sp.issparse(want):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        got, want = got.toarray(), want.toarray()
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.fixture(params=["square", "hexagon"])
+def kernel_mesh(request, hexagon_text):
+    """The unit square at level 3, or the conftest hexagon refined twice."""
+    if request.param == "square":
+        return build_unit_square(3)
+    return refine_uniform(refine_uniform(mesh_from_tokens(hexagon_text().split())))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 9])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.5, 11.0])
+def test_corner_major_kernels_match_triangle_major(kernel_mesh, degree, p):
+    u = np.random.default_rng(11).standard_normal(kernel_mesh.n_vertices)
+    assert _rel(nonlinear_load(kernel_mesh, u, p, degree),
+                _tm_load(kernel_mesh, u, p, degree)) <= 1e-13
+    assert lp_norm(kernel_mesh, u, p, degree) == pytest.approx(
+        _tm_lp_norm(kernel_mesh, u, p, degree), rel=1e-13)
+    assert _rel(assemble_weighted_mass(kernel_mesh, u, p - 2.0, degree),
+                _tm_weighted_mass(kernel_mesh, u, p - 2.0, degree)) <= 1e-13
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5, 9])
+def test_corner_major_load_vector_matches_triangle_major(kernel_mesh, degree):
+    def f(x, y):
+        return np.sin(3.0 * x) * np.cos(2.0 * y) + x * y
+
+    assert _rel(load_vector(kernel_mesh, f, degree),
+                _tm_load_vector(kernel_mesh, f, degree)) <= 1e-13
+
+
+def test_closed_form_stiffness_matches_einsum(kernel_mesh):
+    assert _rel(assemble_stiffness(kernel_mesh), _tm_stiffness(kernel_mesh)) <= 1e-13

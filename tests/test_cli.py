@@ -14,7 +14,13 @@ from laneemden.cli import (
     main,
 )
 from laneemden.errors import MeshError
-from laneemden.mesh import MAX_LEVEL, build_unit_square, mesh_from_tokens, refine_uniform
+from laneemden.mesh import (
+    MAX_LEVEL,
+    build_unit_square,
+    mesh_from_tokens,
+    read_mesh,
+    refine_uniform,
+)
 
 # Any text, plus integer and float literals, which arbitrary text rarely hits.
 TOKENS = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr))
@@ -116,6 +122,29 @@ def test_solve_iters_fixed_above_precondition_warns(tmp_path, capsys):
     assert code == EXIT_OK
     assert capsys.readouterr().err == ""
 
+
+HUGE = "1.7976931348623157e308"  # the largest finite double
+
+
+@pytest.mark.parametrize("data", [
+    f"3 1\n0 0 1\n{HUGE} 0 1\n0 1 1\n0 1 2\n".encode(),       # edge 1-2 length overflows
+    f"3 1\n0 0 1\n{HUGE} 0 1\n0 {HUGE} 1\n0 1 2\n".encode(),  # the area overflows
+    b"\x80\x81",                                                  # not UTF-8
+], ids=["length", "area", "utf8"])
+@pytest.mark.filterwarnings("error")
+def test_unreadable_mesh_raises_mesh_error_and_exits_io(tmp_path, capsys, data):
+    mesh_path = tmp_path / "bad.mesh"
+    mesh_path.write_bytes(data)
+    with pytest.raises(MeshError):
+        read_mesh(mesh_path)
+    solution_path = tmp_path / "bad.txt"
+    solution_path.write_bytes(data + b"values\n0\n0\n0\n")
+    with pytest.raises(MeshError):
+        import_solution(solution_path)
+    code = main(["solve", "--p", "4", "--level", "0", "--domain", f"mesh:{mesh_path}",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_IO
+    assert len(capsys.readouterr().err.splitlines()) == 1
 
 def test_export_import_round_trip(tmp_path):
     mesh = build_unit_square(1)

@@ -1,3 +1,7 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -400,3 +404,40 @@ def test_rank_deficient_history_at_level2(monkeypatch):
         assert s.converged and s.stop == "stagnated"
     assert sol.iterations > 1 and sol.fixed_point_residual <= 1e-14
 
+
+
+def _thread_ticks():
+    """CPU clock ticks (user + system) of the calling thread and of the
+    process's other threads together."""
+    me = threading.get_native_id()
+    own = other = 0
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                stat = f.read()
+        except FileNotFoundError:  # the thread exited
+            continue
+        fields = stat[stat.rindex(")") + 2:].split()  # fields from 3 (state) on
+        ticks = int(fields[11]) + int(fields[12])     # utime, stime
+        if int(tid) == me:
+            own += ticks
+        else:
+            other += ticks
+    return own, other
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_descent_leaves_blas_thread_pool_idle():
+    # A BLAS call that OpenBLAS threads leaves its workers spin-waiting for
+    # the next one; a descent making such calls every step burns a second
+    # CPU while computing on one.
+    mesh = build_unit_square(7)
+    config = MinimizerConfig(p=11.0, iters_fixed=60)
+    # Loading scipy's own OpenBLAS (with the first factorization) starts its
+    # pool, whose worker spins once at start-up: do that outside the count.
+    solve_extremal(build_unit_square(2), config)
+    time.sleep(0.5)  # workers woken before this test go back to sleep
+    own0, other0 = _thread_ticks()
+    solve_extremal(mesh, config)
+    own1, other1 = _thread_ticks()
+    assert other1 - other0 <= 0.05 * (own1 - own0)
