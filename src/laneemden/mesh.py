@@ -282,6 +282,7 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("edge lengths or triangle areas overflow")
     if np.any(areas <= 0):
         raise MeshError("non-positive triangle area")
+    del areas  # before the edge table, where this function peaks in memory
 
     edges, _, counts = _edges(mesh.triangles, mesh.n_vertices)
     on_boundary = mesh.is_boundary[edges].all(axis=1)

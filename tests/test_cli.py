@@ -146,6 +146,7 @@ def test_unreadable_mesh_raises_mesh_error_and_exits_io(tmp_path, capsys, data):
     assert code == EXIT_IO
     assert len(capsys.readouterr().err.splitlines()) == 1
 
+
 def test_export_import_round_trip(tmp_path):
     mesh = build_unit_square(1)
     field = np.random.default_rng(0).standard_normal(mesh.n_vertices)
