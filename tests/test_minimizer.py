@@ -405,7 +405,6 @@ def test_rank_deficient_history_at_level2(monkeypatch):
     assert sol.iterations > 1 and sol.fixed_point_residual <= 1e-14
 
 
-
 def _thread_ticks():
     """CPU clock ticks (user + system) of the calling thread and of the
     process's other threads together."""
