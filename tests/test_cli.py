@@ -124,13 +124,16 @@ def test_solve_iters_fixed_above_precondition_warns(tmp_path, capsys):
 
 
 HUGE = "1.7976931348623157e308"  # the largest finite double
+NEXT = "1.7976931348623155e308"  # the next double below it
 
 
 @pytest.mark.parametrize("data", [
     f"3 1\n0 0 1\n{HUGE} 0 1\n0 1 1\n0 1 2\n".encode(),       # edge 1-2 length overflows
     f"3 1\n0 0 1\n{HUGE} 0 1\n0 {HUGE} 1\n0 1 2\n".encode(),  # the area overflows
+    # area 2^970 is finite, but the squared length of edge 0-1 is not
+    f"3 1\n{NEXT} 0 1\n{HUGE} 0 1\n{HUGE} 1 1\n0 1 2\n".encode(),
     b"\x80\x81",                                                  # not UTF-8
-], ids=["length", "area", "utf8"])
+], ids=["length", "area", "near-max", "utf8"])
 @pytest.mark.filterwarnings("error")
 def test_unreadable_mesh_raises_mesh_error_and_exits_io(tmp_path, capsys, data):
     mesh_path = tmp_path / "bad.mesh"
@@ -141,10 +144,11 @@ def test_unreadable_mesh_raises_mesh_error_and_exits_io(tmp_path, capsys, data):
     solution_path.write_bytes(data + b"values\n0\n0\n0\n")
     with pytest.raises(MeshError):
         import_solution(solution_path)
-    code = main(["solve", "--p", "4", "--level", "0", "--domain", f"mesh:{mesh_path}",
-                 "--out-dir", str(tmp_path)])
-    assert code == EXIT_IO
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    for level in ("0", "1"):
+        code = main(["solve", "--p", "4", "--level", level, "--domain", f"mesh:{mesh_path}",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_IO
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_export_import_round_trip(tmp_path):

@@ -1,20 +1,21 @@
 """Paired benchmark runs of two checkouts, summarized into one JSON file.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 10 \
-        --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_<n>.json
 
-Each pair runs ``bench/run.py --workload W`` once in each checkout, for every
-workload in turn; the side that runs first alternates from pair to pair, so
-a drift in host speed falls on both sides alike.  Each side runs its own
-``bench/`` from its own sources, with the same seed and run length.
+Each of the 10 pairs runs ``bench/run.py --workload W --seed 0`` once in each
+checkout, for every workload of BENCHMARK.json in turn, at its ``run_seconds``;
+the side that runs first alternates from pair to pair, so a drift in host speed
+falls on both sides alike.  Each side runs its own ``bench/`` from its own
+sources.
 
 For every workload and end-to-end metric of BENCHMARK.json the output holds
 each side's runs, median and quartiles, the pairs the change won and tied,
 the relative change of the median, whether that is a gain (won at least 9
-pairs in 10 and moved the median by more than the parent's interquartile
-range) and whether the change's median stays within the metric's regression
-bound.  Failed and attempted operations are summed per side, and the `env`
-line of each side's first run is kept.
+pairs in 10, moved the median by more than the parent's interquartile range
+and failed no more operations than the parent) and whether the change's
+median stays within the metric's regression bound.  Failed and attempted
+operations are summed per side, and the `env` line of each side's first run
+is kept.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
+SEED = 0
 RUN_TIMEOUT_S = 900.0
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
+def run_bench(checkout: Path, workload: str) -> dict:
     """One bench/run.py run; its last stdout line plus the env line and exit code."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
@@ -52,7 +53,8 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
-def compare(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+def compare(parent: list[float], change: list[float], better: str, bound: float,
+            failed: dict) -> dict:
     sign = 1.0 if better == "lower" else -1.0
     gains = [sign * (p - c) for p, c in zip(parent, change)]
     p, c = spread(parent), spread(change)
@@ -64,7 +66,8 @@ def compare(parent: list[float], change: list[float], better: str, bound: float)
         "ties": sum(g == 0 for g in gains),
         "median_change": (c["median"] - p["median"]) / p["median"],
         "gain": (sum(g > 0 for g in gains) >= need
-                 and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]),
+                 and sign * (p["median"] - c["median"]) > p["q3"] - p["q1"]
+                 and failed["change"] <= failed["parent"]),
         "within_bound": sign * (c["median"] - p["median"]) <= bound * p["median"],
     }
 
@@ -73,26 +76,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--workload", action="append",
-                    help="workload to run (repeatable; default: every workload)")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="measuring time per run (default: BENCHMARK.json run_seconds)")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {w: {side: [] for side in sides} for w in workloads}
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for w in workloads:
             for side in order:
-                r = run_bench(sides[side], w, args.seed, args.seconds)
+                r = run_bench(sides[side], w)
                 runs[w][side].append(r)
                 print(f"pair {i} {w} {side}: exit {r['exit']} "
                       + " ".join(f"{k}={m['value']:.4g}" for k, m in r["metrics"].items()),
@@ -100,6 +95,7 @@ def main(argv=None) -> int:
 
     summary = {}
     for w, by_side in runs.items():
+        failed = {s: sum(r["failed"] for r in rs) for s, rs in by_side.items()}
         metrics = {}
         for m in spec["end_to_end"]:
             values = {side: [r["metrics"].get(m["name"], {}).get("value") for r in rs]
@@ -108,9 +104,9 @@ def main(argv=None) -> int:
                 continue  # a run without this metric failed; its errors are below
             metrics[m["name"]] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                                   **compare(values["parent"], values["change"],
-                                            m["better"], m["bound"])}
+                                            m["better"], m["bound"], failed)}
         summary[w] = {
-            "failed": {s: sum(r["failed"] for r in rs) for s, rs in by_side.items()},
+            "failed": failed,
             "attempted": {s: sum(r["attempted"] for r in rs) for s, rs in by_side.items()},
             "errors": [r["error"] for rs in by_side.values() for r in rs if "error" in r],
             "metrics": metrics,
@@ -119,9 +115,9 @@ def main(argv=None) -> int:
     first = {side: runs[workloads[0]][side][0]["env"] for side in sides}
     out = {
         "command": " ".join(["python3", "tools/bench_pairs.py", *(argv or sys.argv[1:])]),
-        "pairs": args.pairs,
-        "seed": args.seed,
-        "seconds": args.seconds if args.seconds is not None else spec["run_seconds"],
+        "pairs": PAIRS,
+        "seed": SEED,
+        "seconds": spec["run_seconds"],
         "order": "pair i runs the parent first when i is even, the change first when odd",
         "env": first,
         "workloads": summary,
