@@ -17,10 +17,10 @@ from .mesh import (
     Mesh,
     build_unit_square,
     mesh_from_tokens,
+    mesh_text,
     read_mesh,
     read_tokens,
     refine_uniform,
-    write_mesh,
 )
 from .minimizer import MinimizerConfig, solve_extremal
 from .study import (
@@ -41,12 +41,10 @@ def export_solution(mesh: Mesh, field: np.ndarray, path) -> None:
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (mesh.n_vertices,):
         raise DimensionError("field length does not match mesh")
+    text = mesh_text(mesh) + "values\n" + "%.17g\n" * field.size % tuple(field.tolist())
     try:
-        write_mesh(mesh, path)
-        with open(path, "a") as f:
-            f.write("values\n")
-            for v in field.tolist():
-                f.write(f"{v:.17g}\n")
+        with open(path, "w") as f:
+            f.write(text)
     except OSError as e:
         raise OSError(f"cannot write solution to {path}: {e}") from e
 

@@ -115,8 +115,16 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
 
 
 def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
-    d = vertices[triangles] - vertices[np.roll(triangles, -1, axis=1)]
-    return float(np.sqrt((d * d).sum(axis=2).max()))
+    # Corner-major: (3, nt) gathers of x and y, squared and summed in place.
+    a = triangles.T
+    b = np.roll(a, -1, axis=0)  # second endpoints of edges 01, 12, 20
+    x, y = vertices[:, 0], vertices[:, 1]
+    dx = x[a] - x[b]
+    dy = y[a] - y[b]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return float(np.sqrt(dx.max()))
 
 
 def build_unit_square(level: int) -> Mesh:
@@ -297,14 +305,26 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError(f"Euler characteristic {euler} != 2")
 
 
+def mesh_text(mesh: Mesh) -> str:
+    """The line-oriented mesh text format as one string (round-trips bit-exactly).
+
+    Each section is one ``%`` format over one tuple: per-line formatting
+    and writes cost several times the float ``repr`` calls themselves.
+    """
+    nv = mesh.n_vertices
+    rows = [None] * (3 * nv)
+    rows[0::3] = mesh.vertices[:, 0].tolist()
+    rows[1::3] = mesh.vertices[:, 1].tolist()
+    rows[2::3] = mesh.is_boundary.tolist()  # %d prints a bool as 0 or 1
+    return (f"{nv} {mesh.n_triangles}\n"
+            + "%r %r %d\n" * nv % tuple(rows)
+            + "%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist()))
+
+
 def write_mesh(mesh: Mesh, path) -> None:
-    """Write the line-oriented mesh text format (round-trips bit-exactly)."""
+    """Write ``mesh_text(mesh)`` to path."""
     with open(path, "w") as f:
-        f.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
-        for (x, y), b in zip(mesh.vertices.tolist(), mesh.is_boundary.tolist()):
-            f.write(f"{x!r} {y!r} {int(b)}\n")
-        for i, j, k in mesh.triangles.tolist():
-            f.write(f"{i} {j} {k}\n")
+        f.write(mesh_text(mesh))
 
 
 def mesh_from_tokens(tokens: list[str], where: str = "<mesh>") -> Mesh:
@@ -320,10 +340,9 @@ def mesh_from_tokens(tokens: list[str], where: str = "<mesh>") -> Mesh:
     need = 2 + 3 * nv + 3 * nt
     if len(tokens) < need:
         raise MeshError(f"{where}: expected {need} tokens, got {len(tokens)}")
-    body = tokens[2:need]
     try:
-        vdata = np.array(body[: 3 * nv], dtype=np.float64).reshape(nv, 3)
-        tdata = np.array(body[3 * nv:], dtype=np.int64).reshape(nt, 3)
+        vdata = np.array(tokens[2:2 + 3 * nv], dtype=np.float64).reshape(nv, 3)
+        tdata = np.array(tokens[2 + 3 * nv:need], dtype=np.int64).reshape(nt, 3)
     except (ValueError, OverflowError) as e:
         raise MeshError(f"{where}: malformed token ({e})") from None
     if tdata.min() < 0 or tdata.max() >= nv:

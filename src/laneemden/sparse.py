@@ -8,6 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .assembly import inner
 from .errors import DimensionError, NumericsError
 
 
@@ -168,21 +169,25 @@ def smallest_eig_constrained(
     if bad.size:
         raise NumericsError(f"constrained eigensolve: non-finite entry "
                             f"c[{bad[0]}] = {c[bad[0]]}")
+    # Inner products go through assembly.inner: BLAS ddot would wake
+    # OpenBLAS's thread pool from 10 000 entries on.
     Bc = B @ c
-    cBc = float(c @ Bc)
+    cBc = inner(c, Bc)
     if cBc <= 0.0:
         raise NumericsError("constraint vector is B-degenerate")
 
     def project(x: np.ndarray) -> np.ndarray:
-        return x - (float(x @ Bc) / cBc) * c
+        return x - (inner(x, Bc) / cBc) * c
 
     rng = np.random.default_rng(0)
     x = project(rng.standard_normal(n))
-    bnorm = float(np.sqrt(max(x @ (B @ x), 0.0)))
+    Bx = B @ x
+    bnorm = float(np.sqrt(max(inner(x, Bx), 0.0)))
     if bnorm == 0.0:
         raise NumericsError("deflated start vector vanished")
     x /= bnorm
-    lam = float(x @ (A @ x))
+    Bx /= bnorm
+    lam = inner(x, A @ x)
 
     from scipy.sparse.linalg import splu  # see factor
 
@@ -197,25 +202,28 @@ def smallest_eig_constrained(
     # definite there iff it has no negative pivot, or one with (Bc)'A^-1(Bc) < 0.
     negative = int(np.count_nonzero(lu.U.diagonal() < 0.0))
     definite = np.array_equal(lu.perm_r, lu.perm_c) and (
-        negative == 0 or (negative == 1 and float(Bc @ lu.solve(Bc)) < 0.0))
+        negative == 0 or (negative == 1 and inner(Bc, lu.solve(Bc)) < 0.0))
     if not definite:
         return min(lam, 0.0)
 
     # A step solves A y - alpha c = project(B x) with y'Bc = 0:
     # y = z1 - ((Bc)'z1 / (Bc)'z2) z2, z1 = A^-1 project(B x), z2 = A^-1 c.
+    # B x is carried over from the step before, as B y / |y|_B.
     z2 = lu.solve(c)
-    s = float(Bc @ z2)
+    s = inner(Bc, z2)
     if s == 0.0:
         raise NumericsError("projected operator is singular on the constraint subspace")
 
     for _ in range(max_iter):
-        z1 = lu.solve(project(B @ x))
-        y = project(z1 - (float(Bc @ z1) / s) * z2)
-        ynorm = float(np.sqrt(max(y @ (B @ y), 0.0)))
+        z1 = lu.solve(project(Bx))
+        y = project(z1 - (inner(Bc, z1) / s) * z2)
+        By = B @ y
+        ynorm = float(np.sqrt(max(inner(y, By), 0.0)))
         if ynorm == 0.0 or not np.isfinite(ynorm):
             return min(lam, 0.0)
         x = y / ynorm
-        lam_new = float(x @ (A @ x)) / float(x @ (B @ x))
+        Bx = By / ynorm
+        lam_new = inner(x, A @ x) / inner(x, Bx)
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return lam_new
         lam = lam_new

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,32 @@ def hexagon_text():
         return "\n".join(["7 6", "0.0 0.0 0", *ring, *fan]) + "\n"
 
     return build
+
+
+def _thread_ticks():
+    """CPU clock ticks (user + system) of the calling thread and of the
+    process's other threads together."""
+    me = threading.get_native_id()
+    own = other = 0
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                stat = f.read()
+        except FileNotFoundError:  # the thread exited
+            continue
+        fields = stat[stat.rindex(")") + 2:].split()  # fields from 3 (state) on
+        ticks = int(fields[11]) + int(fields[12])     # utime, stime
+        if int(tid) == me:
+            own += ticks
+        else:
+            other += ticks
+    return own, other
+
+
+@pytest.fixture
+def thread_ticks():
+    """The function (own, other) = thread_ticks(): CPU clock ticks of the
+    calling thread and of the process's other threads (Linux /proc only)."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("needs /proc/self/task")
+    return _thread_ticks

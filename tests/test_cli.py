@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from laneemden.mesh import (
     mesh_from_tokens,
     read_mesh,
     refine_uniform,
+    write_mesh,
 )
 
 # Any text, plus integer and float literals, which arbitrary text rarely hits.
@@ -151,6 +154,53 @@ def test_unreadable_mesh_raises_mesh_error_and_exits_io(tmp_path, capsys, data):
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def _line_write_mesh(mesh, path):
+    """The per-line mesh writer that the whole-section formatting replaced,
+    kept as the byte reference."""
+    with open(path, "w") as f:
+        f.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
+        for (x, y), b in zip(mesh.vertices.tolist(), mesh.is_boundary.tolist()):
+            f.write(f"{x!r} {y!r} {int(b)}\n")
+        for i, j, k in mesh.triangles.tolist():
+            f.write(f"{i} {j} {k}\n")
+
+
+def _line_export_solution(mesh, field, path):
+    _line_write_mesh(mesh, path)
+    with open(path, "a") as f:
+        f.write("values\n")
+        for v in field.tolist():
+            f.write(f"{v:.17g}\n")
+
+
+SPECIAL = [-0.0, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("theta, depth", [(None, 3)] + [
+    (theta, depth) for theta in (0.0, 0.3, 1.0) for depth in range(4)
+], ids=lambda v: "square" if v is None else str(v))
+def test_writers_match_line_by_line_reference(tmp_path, hexagon_text, theta, depth):
+    if theta is None:
+        mesh = build_unit_square(depth)
+    else:
+        mesh = mesh_from_tokens(hexagon_text(theta).split())
+        for _ in range(depth):
+            mesh = refine_uniform(mesh)
+    rng = np.random.default_rng(depth)
+    field = rng.standard_normal(mesh.n_vertices) * 10.0 ** rng.integers(
+        -300, 300, mesh.n_vertices)
+    field[:len(SPECIAL)] = SPECIAL
+    # the writers do not validate, so special coordinates reach them too
+    odd = mesh.vertices.copy()
+    odd.flat[:len(SPECIAL)] = SPECIAL
+    for m in (mesh, dataclasses.replace(mesh, vertices=odd)):
+        for write, reference, args in ((write_mesh, _line_write_mesh, (m,)),
+                                       (export_solution, _line_export_solution, (m, field))):
+            write(*args, tmp_path / "got.txt")
+            reference(*args, tmp_path / "want.txt")
+            assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
 def test_export_import_round_trip(tmp_path):
     mesh = build_unit_square(1)
     field = np.random.default_rng(0).standard_normal(mesh.n_vertices)
@@ -258,8 +308,6 @@ def test_study_csv_deterministic_content(tmp_path, capsys):
 
 
 def test_solve_from_mesh_file_domain(tmp_path, capsys):
-    from laneemden.mesh import write_mesh
-
     coarse = build_unit_square(0)
     mesh_path = tmp_path / "square.mesh"
     write_mesh(coarse, mesh_path)
@@ -290,8 +338,6 @@ def test_mesh_domain_level_out_of_range(tmp_path, capsys, monkeypatch, hexagon_t
 
 def test_study_rejects_non_square_domain(tmp_path, capsys):
     mesh_path = tmp_path / "square.mesh"
-    from laneemden.mesh import write_mesh
-
     write_mesh(build_unit_square(0), mesh_path)
     code = main(["study", "--p", "4", "--levels", "2",
                  "--domain", f"mesh:{mesh_path}", "--out-dir", str(tmp_path)])

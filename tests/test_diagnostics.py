@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,16 @@ def test_gap_monotone_in_weight_scale():
 def test_gap_report_flag_consistent():
     r = GapReport(level=3, p=4.0, gap=-0.5, positive=False)
     assert r.positive == (r.gap > 0.0)
+
+
+def test_gap_leaves_blas_thread_pool_idle(thread_ticks):
+    # At L7 the eigensolver's vectors have 16 129 entries, above the size
+    # from which OpenBLAS splits ddot across its pool.
+    mesh = build_unit_square(7)
+    sol = solve_extremal(mesh, MinimizerConfig(p=4.0))  # loads scipy's BLAS too
+    time.sleep(0.5)  # workers woken before this test go back to sleep
+    own0, other0 = thread_ticks()
+    report = nondegeneracy_gap(mesh, sol, 4.0)
+    own1, other1 = thread_ticks()
+    assert report.positive
+    assert other1 - other0 <= 0.05 * (own1 - own0)

@@ -227,6 +227,39 @@ def test_unstructured_refinement_matches_dict_reference(hexagon_text):
         mesh = fine
 
 
+def _gathered_longest_edge(vertices, triangles):
+    """The (nt, 3, 2) gather formula that the corner-major _longest_edge
+    replaced, kept as the bit reference."""
+    d = vertices[triangles] - vertices[np.roll(triangles, -1, axis=1)]
+    return float(np.sqrt((d * d).sum(axis=2).max()))
+
+
+MAX = np.finfo(np.float64).max
+
+
+@pytest.mark.parametrize("vertices", [
+    [[0.0, 0.0], [MAX, 0.0], [0.0, 1.0]],                      # an edge length overflows
+    [[0.0, 0.0], [MAX, 0.0], [0.0, MAX]],                      # the area overflows
+    [[np.nextafter(MAX, 0.0), 0.0], [MAX, 0.0], [MAX, 1.0]],  # a squared length overflows
+], ids=["length", "area", "near-max"])
+def test_longest_edge_matches_gathered_formula_on_overflow(vertices):
+    vertices = np.array(vertices)
+    triangles = np.array([[0, 1, 2]], dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _longest_edge(vertices, triangles)
+        want = _gathered_longest_edge(vertices, triangles)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+def test_longest_edge_matches_gathered_formula(hexagon_text, theta):
+    mesh = mesh_from_tokens(hexagon_text(theta).split())
+    for _ in range(5):
+        assert mesh.h == _gathered_longest_edge(mesh.vertices, mesh.triangles)
+        mesh = refine_uniform(mesh)
+    assert mesh.h == _gathered_longest_edge(mesh.vertices, mesh.triangles)
+
+
 @pytest.mark.parametrize("text, message", [
     # edge (0,1) under three triangles, all positively oriented
     ("5 3\n0 0 1\n1 0 1\n0.5 1 1\n0.5 -1 1\n0.5 2 1\n0 1 2\n1 0 3\n0 1 4\n",

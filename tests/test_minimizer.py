@@ -1,5 +1,3 @@
-import os
-import threading
 import time
 
 import numpy as np
@@ -405,28 +403,7 @@ def test_rank_deficient_history_at_level2(monkeypatch):
     assert sol.iterations > 1 and sol.fixed_point_residual <= 1e-14
 
 
-def _thread_ticks():
-    """CPU clock ticks (user + system) of the calling thread and of the
-    process's other threads together."""
-    me = threading.get_native_id()
-    own = other = 0
-    for tid in os.listdir("/proc/self/task"):
-        try:
-            with open(f"/proc/self/task/{tid}/stat") as f:
-                stat = f.read()
-        except FileNotFoundError:  # the thread exited
-            continue
-        fields = stat[stat.rindex(")") + 2:].split()  # fields from 3 (state) on
-        ticks = int(fields[11]) + int(fields[12])     # utime, stime
-        if int(tid) == me:
-            own += ticks
-        else:
-            other += ticks
-    return own, other
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
-def test_descent_leaves_blas_thread_pool_idle():
+def test_descent_leaves_blas_thread_pool_idle(thread_ticks):
     # A BLAS call that OpenBLAS threads leaves its workers spin-waiting for
     # the next one; a descent making such calls every step burns a second
     # CPU while computing on one.
@@ -436,7 +413,7 @@ def test_descent_leaves_blas_thread_pool_idle():
     # pool, whose worker spins once at start-up: do that outside the count.
     solve_extremal(build_unit_square(2), config)
     time.sleep(0.5)  # workers woken before this test go back to sleep
-    own0, other0 = _thread_ticks()
+    own0, other0 = thread_ticks()
     solve_extremal(mesh, config)
-    own1, other1 = _thread_ticks()
+    own1, other1 = thread_ticks()
     assert other1 - other0 <= 0.05 * (own1 - own0)
