@@ -43,7 +43,7 @@ def _pcg(
 
     Residual-minimizing member of the CG family for SPD systems: the
     residual norm is non-increasing (exactly, in the 2-norm, whenever the
-    diagonal is constant, as on the structured meshes here).  Returns
+    diagonal is constant, as on the unit-square meshes here).  Returns
     (x, CgReport) or raises CgFailure / NumericsError.
     """
     nb = float(np.linalg.norm(b))

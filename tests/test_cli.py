@@ -60,13 +60,36 @@ def test_io_error_on_missing_mesh(tmp_path):
                  "--out-dir", str(tmp_path)]) == EXIT_IO
 
 
+def _holed_grid_text(n: int = 5) -> str:
+    """Mesh text of the n x n grid on the unit square without its centre cell,
+    plus a vertex flagged interior inside the hole and in no triangle.  The
+    hole makes up for the extra vertex in the Euler characteristic."""
+    m = n + 1
+    hole = range(n // 2, n // 2 + 2)
+    rows = [f"{i / n!r} {j / n!r} {int(i in (0, n) or j in (0, n) or (i in hole and j in hole))}"
+            for j in range(m) for i in range(m)]
+    rows.append("0.5 0.5 0")
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            if i != n // 2 or j != n // 2:
+                a = j * m + i
+                tris += [f"{a} {a + 1} {a + m + 1}", f"{a} {a + m + 1} {a + m}"]
+    return "\n".join([f"{len(rows)} {len(tris)}", *rows, *tris]) + "\n"
+
+
 @pytest.mark.parametrize("text", [
     "three one\n0 0 1\n1 0 1\n0 1 1\n0 1 2\n",   # bad header
     "3 1\n0 0 1\n1 zero 1\n0 1 1\n0 1 2\n",    # bad coordinate token
     "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 3\n",       # vertex index out of range
     "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 99999999999999999999\n",  # index overflows int64
     "3 1\n0 0 1\n1 1e999 1\n0 1 1\n0 1 2\n",  # infinite coordinate
-], ids=["header", "token", "index", "overflow", "infinite"])
+    # a hexagon fan whose centre is flagged boundary, on no boundary edge
+    "7 6\n0 0 1\n1 0 1\n0.5 0.875 1\n-0.5 0.875 1\n-1 0 1\n-0.5 -0.875 1\n"
+    "0.5 -0.875 1\n0 1 2\n0 2 3\n0 3 4\n0 4 5\n0 5 6\n0 6 1\n",
+    _holed_grid_text(),  # an interior vertex in no triangle
+], ids=["header", "token", "index", "overflow", "infinite", "flagged-centre",
+        "isolated-vertex"])
 # A warning would reach a user's terminal as extra stderr lines.
 @pytest.mark.filterwarnings("error")
 def test_io_error_on_malformed_mesh(tmp_path, capsys, text):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laneemden.assembly import assemble_stiffness, restrict_interior
 from laneemden.errors import ConfigError, DimensionError, MeshError
 from laneemden.mesh import (
     Mesh,
@@ -18,6 +20,7 @@ from laneemden.mesh import (
     validate_mesh,
     write_mesh,
 )
+from laneemden.sparse import factor
 
 # Any text, plus integer and float literals, which arbitrary text rarely hits.
 TOKENS = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr))
@@ -50,14 +53,41 @@ def test_mesh_invariants(level):
     assert m.h == pytest.approx(np.sqrt(2.0) / 2 ** level)
 
 
-def test_refine_matches_direct_build():
-    coarse = build_unit_square(0)
+def _grid_genealogy(level: int):
+    """Genealogy of the unit square at ``level`` >= 1 by the grid rule of the
+    former structured refinement, kept as the bit reference: even grid points
+    are coarse vertices, odd ones midpoints of horizontal, vertical and
+    SW-NE diagonal coarse edges."""
+    n = 1 << level
+    m = n + 1
+    mc = (n >> 1) + 1
+    gx, gy = np.meshgrid(np.arange(m), np.arange(m))
+    gx = gx.ravel()
+    gy = gy.ravel()
+    parent_vertex = np.full(m * m, -1, dtype=np.int64)
+    parent_edge = np.full((m * m, 2), -1, dtype=np.int64)
+    even = (gx % 2 == 0) & (gy % 2 == 0)
+    parent_vertex[even] = (gy[even] // 2) * mc + gx[even] // 2
+    for odd_x, odd_y in ((1, 0), (0, 1), (1, 1)):
+        sel = (gx % 2 == odd_x) & (gy % 2 == odd_y)
+        parent_edge[sel, 0] = ((gy[sel] - odd_y) // 2) * mc + (gx[sel] - odd_x) // 2
+        parent_edge[sel, 1] = ((gy[sel] + odd_y) // 2) * mc + (gx[sel] + odd_x) // 2
+    return parent_vertex, parent_edge
+
+
+@pytest.mark.parametrize("j", range(9))
+def test_refine_matches_direct_build(j):
+    coarse = build_unit_square(j)
     fine = refine_uniform(coarse)
-    direct = build_unit_square(1)
-    assert np.array_equal(fine.vertices, direct.vertices)
-    assert np.array_equal(fine.triangles, direct.triangles)
-    assert np.array_equal(fine.is_boundary, direct.is_boundary)
-    assert fine.level == 1
+    direct = build_unit_square(j + 1)
+    parent_vertex, parent_edge = _grid_genealogy(j + 1)
+    for name, want in (("vertices", direct.vertices), ("triangles", direct.triangles),
+                       ("is_boundary", direct.is_boundary),
+                       ("parent_vertex", parent_vertex), ("parent_edge", parent_edge)):
+        got = getattr(fine, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert fine.h == direct.h
+    assert fine.level == j + 1 and fine.parent_nv == coarse.n_vertices
 
 
 def test_refine_counts_and_inherited_coordinates():
@@ -132,25 +162,19 @@ def test_prolongate_length_mismatch():
         prolongate(np.zeros(5), m1)
 
 
-def test_generic_refinement_path():
-    # read/write a coarse mesh, then refine along the unstructured code path
+def test_generic_refinement_path(tmp_path):
+    # a root copy of the square read back from its file refines to the next level
     m = build_unit_square(1)
-    unstructured = Mesh(
-        level=0,
-        vertices=m.vertices,
-        triangles=m.triangles,
-        is_boundary=m.is_boundary,
-        parent_vertex=np.full(m.n_vertices, -1, dtype=np.int64),
-        parent_edge=np.full((m.n_vertices, 2), -1, dtype=np.int64),
-        parent_nv=0,
-        h=m.h,
-        structured=False,
-    )
-    fine = refine_uniform(unstructured)
+    write_mesh(m, tmp_path / "square.mesh")
+    root = read_mesh(tmp_path / "square.mesh")
+    fine = refine_uniform(root)
+    direct = build_unit_square(2)
+    for name in ("vertices", "triangles", "is_boundary"):
+        got, want = getattr(fine, name), getattr(direct, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert fine.h == direct.h
     validate_mesh(fine)
-    assert fine.n_triangles == 4 * m.n_triangles
-    assert triangle_areas(fine).sum() == pytest.approx(1.0, abs=1e-12)
-    # prolongation of a linear stays linear on the generic path too
+    # prolongation of a linear stays linear
     lin = m.vertices[:, 0] - 0.5 * m.vertices[:, 1]
     expected = fine.vertices[:, 0] - 0.5 * fine.vertices[:, 1]
     assert prolongate(lin, fine) == pytest.approx(expected, abs=1e-15)
@@ -171,8 +195,9 @@ def test_mesh_file_round_trip(tmp_path):
 
 
 def _dict_refine(coarse: Mesh) -> Mesh:
-    """Per-triangle dict-based unstructured refinement, kept as the reference
-    that the edge-table refinement in refine_uniform must reproduce bit for bit."""
+    """Per-triangle dict-based refinement, midpoints numbered after the coarse
+    vertices in sorted edge order: in canonical order (``_canonical``) it is
+    the reference that refine_uniform must reproduce bit for bit."""
     nvc = coarse.n_vertices
     tris = coarse.triangles
     edge_count = {}
@@ -213,18 +238,73 @@ def _dict_refine(coarse: Mesh) -> Mesh:
     )
 
 
+def _canonical(mesh: Mesh) -> Mesh:
+    """The mesh renumbered in canonical order, in plain Python: vertices sorted
+    by (y, x), each triangle rotated to start at its smallest vertex, and the
+    triangles sorted."""
+    order = [i for _, _, i in sorted((y, x, i) for i, (x, y)
+                                     in enumerate(mesh.vertices.tolist()))]
+    new = {old: k for k, old in enumerate(order)}
+    triangles = []
+    for tri in mesh.triangles.tolist():
+        tri = [new[v] for v in tri]
+        k = tri.index(min(tri))
+        triangles.append(tri[k:] + tri[:k])
+    triangles.sort()
+    return dataclasses.replace(
+        mesh,
+        vertices=mesh.vertices[order],
+        triangles=np.array(triangles, dtype=np.int64),
+        is_boundary=mesh.is_boundary[order],
+        parent_vertex=mesh.parent_vertex[order],
+        parent_edge=mesh.parent_edge[order],
+    )
+
+
 def test_unstructured_refinement_matches_dict_reference(hexagon_text):
     theta = float(np.random.default_rng(3).uniform(0.0, np.pi / 3))
     mesh = mesh_from_tokens(hexagon_text(theta).split())
     for _ in range(4):
         fine = refine_uniform(mesh)
-        ref = _dict_refine(mesh)
+        ref = _canonical(_dict_refine(mesh))
         for name in ("vertices", "triangles", "is_boundary", "parent_vertex", "parent_edge"):
             got, want = getattr(fine, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert fine.h == ref.h
-        assert fine.parent_nv == ref.parent_nv and not fine.structured
+        assert fine.parent_nv == ref.parent_nv
         mesh = fine
+
+
+def _fill(mesh: Mesh) -> int:
+    """Nonzeros of the minimum-degree LU factors of the interior stiffness."""
+    from scipy.sparse.linalg import splu
+
+    K_int = restrict_interior(assemble_stiffness(mesh), mesh)
+    lu = splu(K_int.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    return lu.L.nnz + lu.U.nnz
+
+
+def test_refined_hexagon_is_in_canonical_order(hexagon_text):
+    root = mesh_from_tokens(hexagon_text(0.3).split())
+    mesh = root
+    for level in range(1, 6):
+        mesh = refine_uniform(mesh)
+        x, y = mesh.vertices.T
+        assert np.all((y[:-1] < y[1:]) | ((y[:-1] == y[1:]) & (x[:-1] < x[1:])))
+        t = mesh.triangles
+        assert np.array_equal(t[:, 0], t.min(axis=1))
+        assert np.all(np.diff(t[:, 0] * mesh.n_vertices + t[:, 1]) > 0)
+        validate_mesh(mesh)
+        if level == 3:
+            K_int = restrict_interior(assemble_stiffness(mesh), mesh)
+            b = np.random.default_rng(0).standard_normal(K_int.shape[0])
+            dense = np.linalg.solve(K_int.toarray(), b)
+            assert factor(K_int)(b) == pytest.approx(dense, abs=1e-12)
+    # the (y, x) order gives minimum degree less fill than the edge-table numbering
+    by_edges = root
+    for _ in range(5):
+        by_edges = _dict_refine(by_edges)
+    assert _fill(mesh) < _fill(by_edges)
 
 
 def _gathered_longest_edge(vertices, triangles):
