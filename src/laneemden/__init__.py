@@ -32,7 +32,6 @@ from .mesh import (
 from .minimizer import (
     ExtremalSolution,
     MinimizerConfig,
-    descent_step,
     initial_guess,
     rayleigh_quotient,
     solve_extremal,
@@ -52,7 +51,7 @@ __all__ = [
     "GapReport", "LaneEmdenError", "Mesh", "MeshError", "MinimizerConfig",
     "NumericsError", "QuadratureRule", "RateRow",
     "assemble_mass", "assemble_stiffness", "assemble_weighted_mass",
-    "build_unit_square", "cg_solve", "descent_step", "extend_zero",
+    "build_unit_square", "cg_solve", "extend_zero",
     "initial_guess", "inter_level_error", "lp_norm",
     "nondegeneracy_gap", "nonlinear_load", "observed_rate",
     "poisson_center_value", "poisson_rate_study", "prolongate",

@@ -95,9 +95,12 @@ def _add_solver_flags(sp):
                     help="run exactly N descent steps (published protocol: 60)")
     sp.add_argument("--quotient-tol", type=float, default=1e-10)
     sp.add_argument("--quad-degree", type=int, default=5)
-    sp.add_argument("--scaling", choices=["lambda1", "unit-norm"], default="lambda1")
     sp.add_argument("--domain", default="unit-square",
                     help="unit-square or mesh:<path> to a coarse mesh file")
+
+
+def _add_output_flags(sp):
+    sp.add_argument("--scaling", choices=["lambda1", "unit-norm"], default="lambda1")
     sp.add_argument("--out-dir", default=".", help="output directory")
 
 
@@ -112,16 +115,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="compute one extremal and export it")
     _add_solver_flags(sp)
+    _add_output_flags(sp)
     sp.add_argument("--level", type=int, default=5, help="refinement level")
 
     sp = sub.add_parser("study", help="multi-level rate study (CSV output)")
     _add_solver_flags(sp)
+    _add_output_flags(sp)
     sp.add_argument("--levels", type=int, default=7, help="largest table row j")
 
     sp = sub.add_parser("poisson-check",
                         help="manufactured-solution validation of the linear solver")
     sp.add_argument("--levels", type=int, default=6, help="finest level")
-    sp.add_argument("--out-dir", default=".")
 
     sp = sub.add_parser("diagnose", help="non-degeneracy gap of one extremal")
     _add_solver_flags(sp)
@@ -145,8 +149,9 @@ def _stamp() -> str:
 
 
 def _run(args) -> int:
-    out_dir = Path(getattr(args, "out_dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.command in ("solve", "study"):  # the commands that write files
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.command == "solve":
         config = _config_from_args(args)

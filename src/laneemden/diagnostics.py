@@ -24,7 +24,7 @@ class GapReport:
 
 
 def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
-                      tol: float = 1e-6, quad_degree: int = 5) -> GapReport:
+                      quad_degree: int = 5) -> GapReport:
     """Smallest eigenvalue of the linearized operator K - (p-1) W against K,
     constrained to the energy-orthogonal complement of the extremal.
 
@@ -45,6 +45,6 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
     if not np.any(c):
         # degenerate zero input: quotient reduces to x'Kx / x'Kx = 1
         return GapReport(level=mesh.level, p=p, gap=1.0, positive=True)
-    gap = smallest_eig_constrained(A, B, c, tol=tol)
+    gap = smallest_eig_constrained(A, B, c)
     return GapReport(level=mesh.level, p=p, gap=gap, positive=gap > 0.0)
 

@@ -76,7 +76,7 @@ class _Workspace:
         self.mesh = mesh
         self.config = config
         self.interior = mesh.interior
-        self.solve = factor(assembly.restrict_interior(mesh.stiffness, mesh))
+        self.solve = factor(assembly.restrict_interior(mesh.stiffness, mesh)).solve
 
 
 def initial_guess(mesh: Mesh, p: float, quad_degree: int = 5) -> np.ndarray:
@@ -137,15 +137,6 @@ def _step(ws: _Workspace, u: np.ndarray, energy: float, F: np.ndarray) -> np.nda
     """
     w = assembly.extend_zero(ws.solve(F[ws.interior]), ws.mesh)
     return u - ws.config.eta * (u - energy * w)
-
-
-def descent_step(mesh: Mesh, u: np.ndarray, config: MinimizerConfig) -> np.ndarray:
-    """Single normalized gradient-descent step from u (rescaled to unit L^p norm first)."""
-    if config.eta == 0.0:
-        return np.array(u, dtype=np.float64)
-    ws = _Workspace(mesh, config)
-    u, energy, F, _ = _evaluate(ws, np.asarray(u, dtype=np.float64))
-    return _evaluate(ws, _step(ws, u, energy, F))[0]
 
 
 def solve_extremal(mesh: Mesh, config: MinimizerConfig,

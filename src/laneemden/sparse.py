@@ -11,6 +11,8 @@ import scipy.sparse as sp
 from .assembly import inner
 from .errors import DimensionError, NumericsError
 
+MAX_INVERSE_ITERATIONS = 200  # step cap of smallest_eig_constrained
+
 
 @dataclass
 class CgReport:
@@ -31,71 +33,6 @@ class CgFailure(NumericsError):
         self.x = x
 
 
-def _pcg(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    diag: np.ndarray,
-    b: np.ndarray,
-    tol: float,
-    max_iter: int,
-    callback: Optional[Callable[[float], None]] = None,
-):
-    """Jacobi-preconditioned conjugate-residual iteration behind cg_solve.
-
-    Residual-minimizing member of the CG family for SPD systems: the
-    residual norm is non-increasing (exactly, in the 2-norm, whenever the
-    diagonal is constant, as on the unit-square meshes here).  Returns
-    (x, CgReport) or raises CgFailure / NumericsError.
-    """
-    nb = float(np.linalg.norm(b))
-    if nb == 0.0:
-        return np.zeros_like(b), CgReport(0, 0.0, True)
-
-    inv_diag = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 1.0)
-    x = np.zeros_like(b)
-    r = b.copy()
-    res = float(np.linalg.norm(r))
-    if callback is not None:
-        callback(res)
-    if res / nb <= tol:
-        return x, CgReport(0, res / nb, True)
-
-    z = inv_diag * r
-    p = z.copy()
-    Az = matvec(z)
-    Ap = Az.copy()
-    mAp = inv_diag * Ap
-    rho = float(z @ Az)
-
-    for k in range(1, max_iter + 1):
-        if not np.isfinite(rho):
-            raise NumericsError("NaN/Inf encountered in CG")
-        if rho <= 0.0:
-            raise NumericsError(f"CG breakdown: non-positive curvature {rho:.3e}")
-        denom = float(Ap @ mAp)
-        if denom <= 0.0:
-            raise NumericsError("CG breakdown: vanishing search direction")
-        alpha = rho / denom
-        x = x + alpha * p
-        r = r - alpha * Ap
-        res = float(np.linalg.norm(r))
-        if callback is not None:
-            callback(res)
-        if not np.isfinite(res):
-            raise NumericsError("NaN/Inf encountered in CG")
-        if res / nb <= tol:
-            return x, CgReport(k, res / nb, True)
-        z = inv_diag * r
-        Az = matvec(z)
-        rho_new = float(z @ Az)
-        beta = rho_new / rho
-        p = z + beta * p
-        Ap = Az + beta * Ap
-        mAp = inv_diag * Ap
-        rho = rho_new
-
-    raise CgFailure(CgReport(max_iter, res / nb, False), x)
-
-
 def _order(A: sp.spmatrix) -> int:
     """Size n of a square n x n operator; DimensionError otherwise."""
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -112,8 +49,13 @@ def cg_solve(
 ):
     """Solve A x = b (A symmetric positive definite) to a relative residual.
 
-    Raises CgFailure on non-convergence (the report and best iterate are
-    attached) and NumericsError on NaN or indefiniteness.
+    Jacobi-preconditioned conjugate residuals, the residual-minimizing
+    member of the CG family: the residual norm is non-increasing (exactly,
+    in the 2-norm, whenever the diagonal is constant, as on the unit-square
+    meshes here); callback receives it before the first and after every
+    step.  A is anything with shape, ``@`` and ``diagonal()``.  Returns
+    (x, CgReport); raises CgFailure on non-convergence (the report and best
+    iterate are attached) and NumericsError on NaN or indefiniteness.
     """
     n = _order(A)
     b = np.asarray(b, dtype=np.float64)
@@ -121,36 +63,86 @@ def cg_solve(
         raise DimensionError(f"rhs length {b.shape} does not match operator size {n}")
     if max_iter is None:
         max_iter = 10 * n
-    return _pcg(A.dot, A.diagonal(), b, tol, max_iter, callback=callback)
+    nb = float(np.linalg.norm(b))
+    if nb == 0.0:
+        return np.zeros_like(b), CgReport(0, 0.0, True)
+
+    diag = A.diagonal()
+    inv_diag = 1.0 / np.where(diag > 0, diag, 1.0)  # 1 where the diagonal is not positive
+    x = np.zeros_like(b)
+    r = b.copy()
+    res = float(np.linalg.norm(r))
+    if callback is not None:
+        callback(res)
+    if res / nb <= tol:
+        return x, CgReport(0, res / nb, True)
+
+    z = inv_diag * r
+    p = z.copy()
+    Az = A @ z
+    Ap = Az.copy()
+    rho = float(z @ Az)
+
+    for k in range(1, max_iter + 1):
+        if not np.isfinite(rho):
+            raise NumericsError("NaN/Inf encountered in CG")
+        if rho <= 0.0:
+            raise NumericsError(f"CG breakdown: non-positive curvature {rho:.3e}")
+        denom = float(Ap @ (inv_diag * Ap))
+        if denom <= 0.0:
+            raise NumericsError("CG breakdown: vanishing search direction")
+        alpha = rho / denom
+        x = x + alpha * p
+        r = r - alpha * Ap
+        res = float(np.linalg.norm(r))
+        if callback is not None:
+            callback(res)
+        if not np.isfinite(res):
+            raise NumericsError("NaN/Inf encountered in CG")
+        if res / nb <= tol:
+            return x, CgReport(k, res / nb, True)
+        z = inv_diag * r
+        Az = A @ z
+        rho_new = float(z @ Az)
+        beta = rho_new / rho
+        p = z + beta * p
+        Ap = Az + beta * Ap
+        rho = rho_new
+
+    raise CgFailure(CgReport(max_iter, res / nb, False), x)
 
 
-def factor(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Sparse LU factorization of A, returned as its ``solve(b) -> x``.
+def factor(A: sp.spmatrix):
+    """SuperLU factorization of the symmetric matrix A, for reuse: ``factor(A).solve(b)``.
 
-    The minimum-degree ordering of A^T + A suits the symmetric stiffness
-    pattern: about half the fill of SuperLU's default COLAMD ordering.
+    The package's one factorization routine, used by the descent, the
+    Poisson check and the gap.  Minimum degree on A^T + A (about half the
+    fill of SuperLU's default COLAMD on the stiffness), diagonal pivots
+    only and symmetric mode: where perm_r == perm_c, U's diagonal holds the
+    pivots D of L D L', whose signs give A's inertia.  Returns the SuperLU
+    object; an exactly singular A raises NumericsError.
     """
     # Imported here: scipy.sparse.linalg adds ~7 MB and ~0.08 s to every
     # import of the package, and most entry points never factor.
-    from scipy.sparse.linalg import splu
+    from scipy.sparse import linalg
 
-    return splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    try:
+        return linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                           options=dict(SymmetricMode=True))
+    except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
+        raise NumericsError(f"sparse LU: {e}") from None
 
 
-def smallest_eig_constrained(
-    A: sp.spmatrix,
-    B: sp.spmatrix,
-    c: np.ndarray,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> float:
+def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
+                             tol: float = 1e-6) -> float:
     """Smallest generalized Rayleigh quotient x'Ax/x'Bx subject to x'Bc = 0.
 
     Inverse iteration (shift 0) with the constraint re-imposed every step
     by B-orthogonal deflation of c, each step one exact solve on a single
-    factorization of A.  Where its pivots show A is not positive definite on
-    the constraint subspace, the gap is reported as non-positive; a singular
-    A (or projected operator) raises NumericsError.
+    ``factor(A)``; it stops when the quotient moves by at most tol relative,
+    or after MAX_INVERSE_ITERATIONS steps.  Where the pivots show A is not
+    positive definite on the constraint subspace, the gap is reported as
+    non-positive; a singular A (or projected operator) raises NumericsError.
     """
     c = np.asarray(c, dtype=np.float64)
     n = _order(A)
@@ -189,14 +181,7 @@ def smallest_eig_constrained(
     Bx /= bnorm
     lam = inner(x, A @ x)
 
-    from scipy.sparse.linalg import splu  # see factor
-
-    # Diagonal pivots only: with perm_r == perm_c the pivots are D of L D L'.
-    try:
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-    except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
-        raise NumericsError(f"constrained eigensolve: {e}") from None
+    lu = factor(A)
     # [[A, Bc], [Bc', 0]] has the inertia of A plus that of -(Bc)'A^-1(Bc)
     # (Haynsworth), and that of A on {x'Bc = 0} plus one + and one -: A is
     # definite there iff it has no negative pivot, or one with (Bc)'A^-1(Bc) < 0.
@@ -214,7 +199,7 @@ def smallest_eig_constrained(
     if s == 0.0:
         raise NumericsError("projected operator is singular on the constraint subspace")
 
-    for _ in range(max_iter):
+    for _ in range(MAX_INVERSE_ITERATIONS):
         z1 = lu.solve(project(Bx))
         y = project(z1 - (inner(Bc, z1) / s) * z2)
         By = B @ y

@@ -167,7 +167,7 @@ def _poisson_solve(mesh: Mesh, f) -> np.ndarray:
     """The Dirichlet solve of -Laplace u = f, with the descent's ``factor``."""
     K_int = assembly.restrict_interior(mesh.stiffness, mesh)
     b = assembly.load_vector(mesh, f, degree=8)
-    return assembly.extend_zero(factor(K_int)(b[mesh.interior]), mesh)
+    return assembly.extend_zero(factor(K_int).solve(b[mesh.interior]), mesh)
 
 
 def _error_vs_exact(mesh: Mesh, u: np.ndarray, degree: int = 8):

@@ -49,6 +49,20 @@ def test_usage_error_on_unknown_flag():
     assert err.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("args", [
+    ["diagnose", "--scaling", "unit-norm"],
+    ["diagnose", "--out-dir", "made"],
+    ["poisson-check", "--out-dir", "made"],
+])
+def test_flags_without_effect_are_rejected(tmp_path, monkeypatch, args):
+    # diagnose and poisson-check write no file, so they take no output flags
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == EXIT_USAGE
+    assert not list(tmp_path.iterdir())
+
+
 def test_usage_error_on_bad_domain(tmp_path):
     assert main(["solve", "--p", "4", "--level", "1", "--domain", "torus",
                  "--out-dir", str(tmp_path)]) == EXIT_USAGE
@@ -101,9 +115,8 @@ def test_io_error_on_malformed_mesh(tmp_path, capsys, text):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
-def test_diagnose_passes_quad_degree_to_gap(tmp_path, weighted_mass_degrees):
-    assert main(["diagnose", "--p", "4", "--level", "2", "--quad-degree", "7",
-                 "--out-dir", str(tmp_path)]) == EXIT_OK
+def test_diagnose_passes_quad_degree_to_gap(weighted_mass_degrees):
+    assert main(["diagnose", "--p", "4", "--level", "2", "--quad-degree", "7"]) == EXIT_OK
     assert weighted_mass_degrees == [7]
 
 
@@ -352,8 +365,9 @@ def test_mesh_domain_level_out_of_range(tmp_path, capsys, monkeypatch, hexagon_t
         raise AssertionError("refined a mesh at an out-of-range level")
 
     monkeypatch.setattr("laneemden.cli.refine_uniform", no_refinement)
+    out_dir = ["--out-dir", str(tmp_path)] if command == "solve" else []
     code = main([command, "--p", "4", "--level", level,
-                 "--domain", f"mesh:{mesh_path}", "--out-dir", str(tmp_path)])
+                 "--domain", f"mesh:{mesh_path}", *out_dir])
     assert code == EXIT_USAGE
     assert len(capsys.readouterr().err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hexagon.mesh"]
@@ -381,33 +395,30 @@ def test_study_unconverged_exit_code(tmp_path, capsys):
                         "--max-iters; their rows are unreliable"]
 
 
-def test_poisson_check_runs(tmp_path, capsys):
-    assert main(["poisson-check", "--levels", "3",
-                 "--out-dir", str(tmp_path)]) == EXIT_OK
+def test_poisson_check_runs(capsys):
+    assert main(["poisson-check", "--levels", "3"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("j,err_l2,rate_l2,err_h1,rate_h1")
     assert "center value" in out
 
 
 @pytest.mark.parametrize("max_iters", ["12", "1"])
-def test_diagnose_unconverged_exit_code(tmp_path, capsys, monkeypatch, max_iters):
+def test_diagnose_unconverged_exit_code(capsys, monkeypatch, max_iters):
     # 12 steps stop with a residual under the gap precondition, 1 step above it;
     # either way the solve did not stagnate and no gap may be reported
     def no_gap(*args, **kwargs):
         raise AssertionError("gap computed for an unconverged solve")
 
     monkeypatch.setattr("laneemden.cli.nondegeneracy_gap", no_gap)
-    code = main(["diagnose", "--p", "4", "--level", "3", "--max-iters", max_iters,
-                 "--out-dir", str(tmp_path)])
+    code = main(["diagnose", "--p", "4", "--level", "3", "--max-iters", max_iters])
     assert code == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert "gap" not in captured.out
     assert len(captured.err.splitlines()) == 1 and "did not stagnate" in captured.err
 
 
-def test_diagnose_positive_gap(tmp_path, capsys):
-    assert main(["diagnose", "--p", "4", "--level", "2",
-                 "--out-dir", str(tmp_path)]) == EXIT_OK
+def test_diagnose_positive_gap(capsys):
+    assert main(["diagnose", "--p", "4", "--level", "2"]) == EXIT_OK
     assert "positive True" in capsys.readouterr().out
 
 
@@ -417,14 +428,13 @@ def test_paper_protocol_flags_accepted(tmp_path):
     assert code == EXIT_OK
 
 
-def test_diagnose_fixed_steps_above_residual_precondition(tmp_path, capsys, monkeypatch):
+def test_diagnose_fixed_steps_above_residual_precondition(capsys, monkeypatch):
     # an --iters-fixed run counts as converged, but 5 steps leave residual 0.73
     def no_gap(*args, **kwargs):
         raise AssertionError("gap computed above the residual precondition")
 
     monkeypatch.setattr("laneemden.cli.nondegeneracy_gap", no_gap)
-    code = main(["diagnose", "--p", "4", "--level", "3", "--iters-fixed", "5",
-                 "--out-dir", str(tmp_path)])
+    code = main(["diagnose", "--p", "4", "--level", "3", "--iters-fixed", "5"])
     assert code == EXIT_NUMERICAL
     captured = capsys.readouterr()
     assert "gap" not in captured.out

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from laneemden.errors import ConfigError, NumericsError
 from laneemden.mesh import Mesh, build_unit_square, prolongate, refine_uniform
 from laneemden.minimizer import (
     MinimizerConfig,
-    descent_step,
     initial_guess,
     rayleigh_quotient,
     solve_extremal,
@@ -99,19 +99,16 @@ def test_rayleigh_quotient_sine_oracle():
     assert rayleigh_quotient(m, u, p) == pytest.approx(oracle, rel=1e-10)
 
 
-def test_descent_step_eta_zero_is_identity():
-    m = build_unit_square(2)
-    u = initial_guess(m, 4.0)
-    cfg = MinimizerConfig(p=4.0)
-    cfg.eta = 0.0  # post-construction: the eta=0 step is an exact identity
-    assert np.array_equal(descent_step(m, u, cfg), u)
+def _one_step(m, u, cfg):
+    """One plain descent step from u: the fixed-step solve, run for one step."""
+    return solve_extremal(m, replace(cfg, iters_fixed=1), u0=u).normalized_field
 
 
 def test_descent_step_decreases_quotient():
     m = build_unit_square(3)
     cfg = MinimizerConfig(p=4.0)
     u = initial_guess(m, 4.0)
-    assert rayleigh_quotient(m, descent_step(m, u, cfg), 4.0) < \
+    assert rayleigh_quotient(m, _one_step(m, u, cfg), 4.0) < \
         rayleigh_quotient(m, u, 4.0)
 
 
@@ -120,7 +117,7 @@ def test_descent_step_fixed_point():
     cfg = MinimizerConfig(p=4.0)
     sol = solve_extremal(m, cfg)
     u = sol.normalized_field
-    stepped = descent_step(m, u, cfg)
+    stepped = _one_step(m, u, cfg)
     assert np.abs(stepped - u).max() <= 1e-6
 
 
@@ -129,7 +126,7 @@ def test_normalized_iterate_unit_norm_each_step():
     cfg = MinimizerConfig(p=4.0)
     u = initial_guess(m, 4.0)
     for _ in range(10):
-        u = descent_step(m, u, cfg)
+        u = _one_step(m, u, cfg)
         assert assembly.lp_norm(m, u, 4.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -140,7 +137,7 @@ def test_quotient_sequence_nonincreasing(p):
     u = initial_guess(m, p)
     q = rayleigh_quotient(m, u, p)
     for _ in range(80):
-        u = descent_step(m, u, cfg)
+        u = _one_step(m, u, cfg)
         q_next = rayleigh_quotient(m, u, p)
         assert q_next <= q + 1e-9
         q = q_next
@@ -275,22 +272,22 @@ def test_zero_start_raises_numerics_error():
 
 
 def test_one_factorization_and_no_krylov_solve_per_level(monkeypatch):
-    calls = {"factor": 0, "pcg": 0}
-    real_factor, real_pcg = minimizer.factor, sparse._pcg
+    calls = {"factor": 0, "cg": 0}
+    real_factor, real_cg = minimizer.factor, sparse.cg_solve
 
     def counting_factor(A):
         calls["factor"] += 1
         return real_factor(A)
 
-    def counting_pcg(*args, **kwargs):
-        calls["pcg"] += 1
-        return real_pcg(*args, **kwargs)
+    def counting_cg(*args, **kwargs):
+        calls["cg"] += 1
+        return real_cg(*args, **kwargs)
 
     monkeypatch.setattr(minimizer, "factor", counting_factor)
-    monkeypatch.setattr(sparse, "_pcg", counting_pcg)
+    monkeypatch.setattr(sparse, "cg_solve", counting_cg)
     sol = solve_extremal(build_unit_square(3), MinimizerConfig(p=4.0))
     assert sol.converged and sol.iterations > 1
-    assert calls == {"factor": 1, "pcg": 0}
+    assert calls == {"factor": 1, "cg": 0}
 
 
 def test_geometry_computed_once_per_mesh(monkeypatch):
