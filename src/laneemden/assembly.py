@@ -2,9 +2,11 @@
 
 Every kernel works corner-major: nodal values are gathered through
 ``Mesh.corners`` into (3, nt) arrays, quadrature-point values are
-(nq, nt) and per-triangle blocks (3, nt) or (3, 3, nt), so each pass runs
-over contiguous rows of length nt.  Accumulation follows the fixed corner
-order, so results are deterministic.
+(nq, nt), load blocks (3, nt) and matrix blocks one (nt,) row per corner
+pair, so each pass runs over contiguous rows of length nt.  Matrices are
+summed straight into the data array of the mesh's cached sparsity pattern
+(``Mesh.pattern``), one corner pair at a time.  Accumulation follows the
+fixed corner order, so results are deterministic.
 
 The small products here are shaped so that OpenBLAS runs them in the
 calling thread: a call it splits across its thread pool leaves the pool's
@@ -25,6 +27,7 @@ from .errors import ConfigError, DimensionError
 from .mesh import Mesh
 
 MAX_QUAD_DEGREE = 20
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # corner pairs i <= j
 
 # Classical symmetric 7-point rule, exact to degree 5 (Radon/Hammer).
 _S15 = np.sqrt(15.0)
@@ -103,18 +106,34 @@ def point_values(mesh: Mesh, u: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     return rule.points @ u[mesh.corners]
 
 
-def _scatter(mesh: Mesh, local: np.ndarray) -> sp.csr_matrix:
-    """Sum per-triangle blocks local[i, j, t] (3, 3, nt) into a CSR matrix."""
-    c = mesh.corners
-    rows = np.broadcast_to(c[:, None, :], local.shape).ravel()
-    cols = np.broadcast_to(c[None, :, :], local.shape).ravel()
+def _scatter(mesh: Mesh, blocks) -> sp.csr_matrix:
+    """Sum symmetric per-triangle blocks into a CSR matrix on ``Mesh.pattern``.
+
+    ``blocks`` yields (i, j, b) for the corner pairs i <= j, with b (nt,) the
+    entries (corner i, corner j) of every triangle; b serves (j, i) as well.
+    Each block is added into ``data`` in place by one ``np.add.at`` through
+    the pattern's slot map: no per-entry index arrays, no sort and no
+    temporary beyond the block.  Exact zeros (the stiffness couplings across
+    right-triangle hypotenuses) are dropped: the stored pattern fixes the
+    factorization's ordering.  A matrix without them shares the mesh's
+    read-only ``indptr`` and ``indices``.
+    """
+    indptr, indices, slots = mesh.pattern
+    nnz = indices.size
+    data = np.zeros(nnz)
+    for i, j, b in blocks:
+        np.add.at(data, slots[i, j], b)
+        if i != j:
+            np.add.at(data, slots[j, i], b)
+    keep = data != 0.0
+    if not keep.all():
+        kept = np.zeros(nnz + 1, dtype=indptr.dtype)  # entries kept before each
+        np.cumsum(keep, out=kept[1:])
+        data = data[keep]
+        indices = indices[keep]
+        indptr = kept[indptr]
     n = mesh.n_vertices
-    # tocsr sums duplicates and sorts the indices.  Exact zeros (the
-    # stiffness couplings across right-triangle hypotenuses) are dropped:
-    # the stored pattern fixes the factorization's ordering.
-    A = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    A.eliminate_zeros()
-    return A
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def _load(mesh: Mesh, rule: QuadratureRule, fq: np.ndarray) -> np.ndarray:
@@ -130,16 +149,15 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     area, grads = mesh.geometry
     gx = grads[:, :, 0].T   # (3, nt)
     gy = grads[:, :, 1].T
-    local = gx[:, None] * gx + gy[:, None] * gy
-    local *= area
-    return _scatter(mesh, local)
+    return _scatter(mesh, ((i, j, (gx[i] * gx[j] + gy[i] * gy[j]) * area)
+                           for i, j in _UPPER))
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent mass matrix; local block (area/12) [[2,1,1],[1,2,1],[1,1,2]]."""
     area, _ = mesh.geometry
-    block = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    return _scatter(mesh, block[:, :, None] * area)
+    return _scatter(mesh, ((i, j, (2.0 if i == j else 1.0) / 12.0 * area)
+                           for i, j in _UPPER))
 
 
 def assemble_weighted_mass(
@@ -157,9 +175,9 @@ def assemble_weighted_mass(
     table = lam.T * rule.weights          # (3, nq)
     # One (3, nq) product per row of the block: OpenBLAS threads a single
     # (9, nq) one from about 2^14 triangles on.
-    local = np.stack([(table * lam[:, i]) @ fac for i in range(3)])
-    local *= mesh.geometry[0]
-    return _scatter(mesh, local)
+    rows = ((table * lam[:, i]) @ fac * mesh.geometry[0] for i in range(3))
+    return _scatter(mesh, ((i, j, row[j]) for i, row in enumerate(rows)
+                           for j in range(i, 3)))
 
 
 def nonlinear_load(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> np.ndarray:

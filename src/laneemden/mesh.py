@@ -57,10 +57,13 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    @property
+    @cached_property
     def interior(self) -> np.ndarray:
-        """Indices of interior (non-boundary) vertices."""
-        return np.flatnonzero(~self.is_boundary)
+        """Indices of interior (non-boundary) vertices, read-only and cached
+        like ``geometry``."""
+        idx = np.flatnonzero(~self.is_boundary)
+        idx.flags.writeable = False
+        return idx
 
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +103,63 @@ class Mesh:
         c = self.triangles.T.copy()
         c.flags.writeable = False
         return c
+
+    @cached_property
+    def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_edges`` of this mesh, read-only and cached like ``geometry``, so
+        that ``refine_uniform`` and ``pattern`` share one sort of its edges.
+        ``validate_mesh`` builds its own table and does not keep it."""
+        table = _edges(self.triangles, self.n_vertices)
+        for a in table:
+            a.flags.writeable = False
+        return table
+
+    @cached_property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """P1 sparsity pattern: CSR ``indptr`` and ``indices`` (int32) of the
+        diagonal and both directions of every edge, and the (3, 3, nt) int32
+        slot map, ``slots[i, j, t]`` being the position in ``data`` of the
+        entry (corner i, corner j) of triangle t.  Read-only and cached.
+
+        Row r holds (r, lo) for the edges with hi == r, then (r, r), then
+        (r, hi) for the edges with lo == r; the columns are sorted because
+        the edge table is sorted by (lo, hi).
+        """
+        nv = self.n_vertices
+        edges, tri_edges, _ = self.edge_table
+        ne = edges.shape[0]
+        lo, hi = edges.T
+        below = np.bincount(hi, minlength=nv)  # entries left of the diagonal
+        above = np.bincount(lo, minlength=nv)  # entries right of it
+        indptr = np.zeros(nv + 1, dtype=np.int32)
+        np.cumsum(below + above + 1, out=indptr[1:])
+        diag = indptr[:-1] + below
+        # Row lo's right part lists its edges in edge order, the first one
+        # being edge cumsum(above)[lo] - above[lo].
+        upper = np.arange(1, ne + 1, dtype=np.int32)
+        upper += (diag - (np.cumsum(above) - above))[lo]
+        # Row hi's left part lists its edges by lo: in their stable order by hi.
+        order = np.argsort(hi, kind="stable")
+        lower = np.empty(ne, dtype=np.int32)
+        lower[order] = (np.arange(ne, dtype=np.int32)
+                        + (indptr[:-1] - (np.cumsum(below) - below))[hi[order]])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices[diag] = np.arange(nv)
+        indices[upper] = hi
+        indices[lower] = lo
+
+        c = self.corners
+        slots = np.empty((3, 3, self.n_triangles), dtype=np.int32)
+        for i in range(3):
+            j = (i + 1) % 3
+            e = tri_edges[:, i]  # the edge from corner i to corner j
+            up = c[i] < c[j]
+            slots[i, i] = diag[c[i]]
+            slots[i, j] = np.where(up, upper[e], lower[e])
+            slots[j, i] = np.where(up, lower[e], upper[e])
+        for a in (indptr, indices, slots):
+            a.flags.writeable = False
+        return indptr, indices, slots
 
     @cached_property
     def stiffness(self):
@@ -176,14 +236,26 @@ def _edges(triangles: np.ndarray, nv: int):
 
     Returns the unique edges (ne, 2), sorted by (low, high) endpoint; each
     triangle's edges 01, 12, 20 as indices into them (nt, 3); and the
-    number of triangles on each edge (ne,).
+    number of triangles on each edge (ne,).  Edges and indices are int32.
+    This is ``np.unique`` with ``return_inverse`` and ``return_counts``, but
+    on a stable argsort: the keys of a sorted triangle list come in sorted
+    runs, which it sorts faster than ``np.unique``'s quicksort, and it keeps
+    fewer temporaries.
     """
     ends = np.roll(triangles, -1, axis=1)  # second endpoints of 01, 12, 20
-    keys = np.minimum(triangles, ends) * nv + np.maximum(triangles, ends)
-    keys, tri_edges, counts = np.unique(keys.ravel(), return_inverse=True,
-                                        return_counts=True)
-    edges = np.column_stack([keys // nv, keys % nv])
-    return edges, tri_edges.reshape(triangles.shape), counts
+    keys = (np.minimum(triangles, ends) * nv + np.maximum(triangles, ends)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)  # first of its run of equal keys
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    tri_edges = np.empty(keys.size, dtype=np.int32)
+    tri_edges[order] = np.cumsum(first, dtype=np.int32) - 1
+    starts = np.flatnonzero(first)
+    keys = keys[starts]
+    edges = np.empty((keys.size, 2), dtype=np.int32)
+    edges[:, 0], edges[:, 1] = np.divmod(keys, nv)
+    return edges, tri_edges.reshape(triangles.shape), np.diff(starts, append=first.size)
 
 
 def refine_uniform(coarse: Mesh) -> Mesh:
@@ -195,7 +267,7 @@ def refine_uniform(coarse: Mesh) -> Mesh:
     ``build_unit_square(level + 1)``.
     """
     nvc = coarse.n_vertices
-    edges, tri_edges, counts = _edges(coarse.triangles, nvc)
+    edges, tri_edges, counts = coarse.edge_table
     p = coarse.vertices
     # Halving first cannot overflow and, above the subnormals, gives the same bits.
     vertices = np.vstack([p, 0.5 * p[edges[:, 0]] + 0.5 * p[edges[:, 1]]])

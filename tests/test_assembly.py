@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,3 +375,23 @@ def test_corner_major_load_vector_matches_triangle_major(kernel_mesh, degree):
 
 def test_closed_form_stiffness_matches_einsum(kernel_mesh):
     assert _rel(assemble_stiffness(kernel_mesh), _tm_stiffness(kernel_mesh)) <= 1e-13
+
+
+def test_mass_matches_coo_oracle(kernel_mesh):
+    area, _ = kernel_mesh.geometry
+    block = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    assert _rel(assemble_mass(kernel_mesh),
+                _tm_matrix(kernel_mesh, area[:, None, None] * block)) <= 1e-15
+
+
+def test_stiffness_assembly_peak_memory():
+    # Pattern, slot map and geometry included, the call peaks near 7.5 times
+    # the bytes of K; building COO triples and converting them took 18 times.
+    m = refine_uniform(build_unit_square(6))
+    tracemalloc.start()
+    try:
+        K = assemble_stiffness(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)

@@ -3,9 +3,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laneemden import mesh as mesh_module
 from laneemden.assembly import assemble_stiffness, restrict_interior
 from laneemden.errors import ConfigError, DimensionError, MeshError
 from laneemden.mesh import (
@@ -381,3 +383,71 @@ def test_replaced_mesh_token_reads_or_raises_mesh_error(tmp_path_factory, hexago
     path = tmp_path_factory.getbasetemp() / "replaced.mesh"
     path.write_text("\n".join(tokens))
     _reads_or_mesh_error(path)
+
+
+@pytest.fixture(params=["square", "hexagon"])
+def pattern_mesh(request, hexagon_text):
+    """The unit square at level 3, or the hexagon rotated by 0.3 refined twice."""
+    if request.param == "square":
+        return build_unit_square(3)
+    return refine_uniform(refine_uniform(mesh_from_tokens(hexagon_text(0.3).split())))
+
+
+def test_interior_cached_read_only(pattern_mesh):
+    idx = pattern_mesh.interior
+    assert pattern_mesh.interior is idx
+    assert np.array_equal(idx, np.flatnonzero(~pattern_mesh.is_boundary))
+    with pytest.raises(ValueError):
+        idx[0] = 0
+
+
+def test_pattern_invariants(pattern_mesh):
+    m = pattern_mesh
+    indptr, indices, slots = m.pattern
+    assert m.pattern[2] is slots
+    nv, nnz = m.n_vertices, indices.size
+    assert indptr.dtype == indices.dtype == slots.dtype == np.int32
+    assert indptr[0] == 0 and indptr[-1] == nnz
+    assert nnz == nv + 2 * m.edge_table[0].shape[0]
+    rows = np.repeat(np.arange(nv), np.diff(indptr))
+    # columns strictly increasing within each row, every diagonal present
+    assert np.all((np.diff(indices) > 0) | (np.diff(rows) > 0))
+    assert np.array_equal(rows[indices == rows], np.arange(nv))
+    # every slot in range and at the entry (corner i, corner j)
+    assert slots.shape == (3, 3, m.n_triangles)
+    assert slots.min() >= 0 and slots.max() < nnz
+    c = m.corners
+    for i in range(3):
+        for j in range(3):
+            assert np.array_equal(rows[slots[i, j]], c[i])
+            assert np.array_equal(indices[slots[i, j]], c[j])
+    # the pattern of the summed entries, as a COO assembly would give it
+    ones = sp.coo_matrix((np.ones(9 * m.n_triangles),
+                          (np.repeat(m.triangles, 3, axis=1).ravel(),
+                           np.tile(m.triangles, (1, 3)).ravel())), shape=(nv, nv)).tocsr()
+    assert np.array_equal(ones.indptr, indptr) and np.array_equal(ones.indices, indices)
+    for a in (indptr, indices, slots):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_edge_table_shared_by_refinement_and_pattern(monkeypatch, hexagon_text):
+    calls = []
+    real = mesh_module._edges
+
+    def spy(triangles, nv):
+        calls.append(nv)
+        return real(triangles, nv)
+
+    monkeypatch.setattr(mesh_module, "_edges", spy)
+    m = refine_uniform(mesh_from_tokens(hexagon_text(0.3).split()))
+    validate_mesh(m)  # builds its own table and keeps none
+    assert "edge_table" not in vars(m)
+    calls.clear()
+    m.pattern
+    refine_uniform(m)
+    assert calls == [m.n_vertices]
+    edges, tri_edges, counts = m.edge_table
+    for a in (edges, tri_edges, counts):
+        with pytest.raises(ValueError):
+            a[0] = 0
