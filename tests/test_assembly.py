@@ -385,8 +385,8 @@ def test_mass_matches_coo_oracle(kernel_mesh):
 
 
 def test_stiffness_assembly_peak_memory():
-    # Pattern, slot map and geometry included, the call peaks near 7.5 times
-    # the bytes of K; building COO triples and converting them took 18 times.
+    # Edge table, pattern and geometry included, the call peaks near 7.5
+    # times the bytes of K; COO triples and tocsr take about 18 times.
     m = refine_uniform(build_unit_square(6))
     tracemalloc.start()
     try:
