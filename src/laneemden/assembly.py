@@ -8,6 +8,14 @@ summed straight into the data array of the mesh's cached sparsity pattern
 (``Mesh.pattern``), one corner pair at a time.  Accumulation follows the
 fixed corner order, so results are deterministic.
 
+The quadrature kernels stream the triangles in blocks of ``QUAD_BLOCK``:
+a block's nodal values are gathered, evaluated at the points and reduced
+into its columns of the (3, nt) load array, the per-triangle integrals or
+the six (nt,) matrix blocks before the next block is gathered, so no
+(nq, nt) array is ever whole.  Every column is computed by the same
+operations as on the whole mesh, and the final ``bincount``, ``inner`` or
+``_scatter`` is unchanged.
+
 The small products here are shaped so that OpenBLAS runs them in the
 calling thread: a call it splits across its thread pool leaves the pool's
 workers spin-waiting for the next one, so a descent making such calls on
@@ -17,6 +25,7 @@ reductions go through ``inner`` for the same reason.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,6 +36,11 @@ from .errors import ConfigError, DimensionError
 from .mesh import Mesh
 
 MAX_QUAD_DEGREE = 20
+# Triangles per block of the quadrature kernels.  On the unit square at
+# L7-L9 the p = 11 load's tracemalloc peak falls from 34 to 13 times the bytes
+# of its output (the (3, nt) array and bincount hold the rest) and its time
+# from 4.8 to 2.4 ms at L7, 68 to 50 ms at L9; 2^10 to 2^13 do alike.
+QUAD_BLOCK = 4096
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # corner pairs i <= j
 
 # Classical symmetric 7-point rule, exact to degree 5 (Radon/Hammer).
@@ -101,9 +115,16 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
-def point_values(mesh: Mesh, u: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    """Values (nq, nt) of the P1 interpolant of u at the rule's points."""
-    return rule.points @ u[mesh.corners]
+def point_values(mesh: Mesh, u: np.ndarray, rule: QuadratureRule,
+                 block: slice = slice(None)) -> np.ndarray:
+    """Values (nq, nt) of the P1 interpolant of u at the rule's points, on
+    the triangles of ``block`` (all of them by default)."""
+    return rule.points @ u[mesh.corners[:, block]]
+
+
+def _blocks(mesh: Mesh):
+    """Slices of QUAD_BLOCK consecutive triangles covering the mesh; the last may be short."""
+    return (slice(s, s + QUAD_BLOCK) for s in range(0, mesh.n_triangles, QUAD_BLOCK))
 
 
 def _scatter(mesh: Mesh, blocks) -> sp.csr_matrix:
@@ -136,10 +157,14 @@ def _scatter(mesh: Mesh, blocks) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _load(mesh: Mesh, rule: QuadratureRule, fq: np.ndarray) -> np.ndarray:
-    """Load vector b_i = sum_T area_T sum_q w_q fq[q, T] lam_qi of point values fq."""
-    local = (rule.points.T * rule.weights) @ fq   # (3, nt)
-    local *= mesh.geometry[0]
+def _load(mesh: Mesh, rule: QuadratureRule, values) -> np.ndarray:
+    """Load vector b_i = sum_T area_T sum_q w_q f[q, T] lam_qi, where
+    ``values(block)`` gives the point values f (nq, b) on a block's triangles."""
+    table = rule.points.T * rule.weights   # (3, nq)
+    area = mesh.geometry[0]
+    local = np.empty((3, mesh.n_triangles))
+    for s in _blocks(mesh):
+        np.multiply(table @ values(s), area[s], out=local[:, s])
     return np.bincount(mesh.corners.ravel(), weights=local.ravel(),
                        minlength=mesh.n_vertices)
 
@@ -164,53 +189,64 @@ def assemble_weighted_mass(
     mesh: Mesh, w: np.ndarray, exponent: float, degree: int = 5
 ) -> sp.csr_matrix:
     """Matrix of int |w|^exponent phi_i phi_j with w its P1 interpolant."""
-    if exponent < 0:
-        raise ConfigError(f"exponent must be >= 0, got {exponent}")
+    # Comparisons are written so that NaN fails them.
+    if not 0 <= exponent < math.inf:
+        raise ConfigError(f"exponent must be finite and >= 0, got {exponent}")
     w = _check_field(mesh, w)
     rule = triangle_rule(degree)
     lam = rule.points
-    fac = point_values(mesh, w, rule)
-    np.abs(fac, out=fac)
-    fac **= exponent                      # 0**0 == 1, so exponent 0 gives mass
-    table = lam.T * rule.weights          # (3, nq)
-    # One (3, nq) product per row of the block: OpenBLAS threads a single
-    # (9, nq) one from about 2^14 triangles on.
-    rows = ((table * lam[:, i]) @ fac * mesh.geometry[0] for i in range(3))
-    return _scatter(mesh, ((i, j, row[j]) for i, row in enumerate(rows)
-                           for j in range(i, 3)))
+    area = mesh.geometry[0]
+    # Row k of the table weighs the points for corner pair _UPPER[k].  One
+    # (6, nq) product per block stays in the calling thread; on the whole
+    # mesh OpenBLAS threaded a (9, nq) one from about 2^14 triangles on.
+    table = np.array([lam[:, i] * lam[:, j] * rule.weights for i, j in _UPPER])
+    local = np.empty((len(_UPPER), mesh.n_triangles))
+    for s in _blocks(mesh):
+        fac = point_values(mesh, w, rule, s)
+        np.abs(fac, out=fac)
+        fac **= exponent                  # 0**0 == 1, so exponent 0 gives mass
+        np.multiply(table @ fac, area[s], out=local[:, s])
+    return _scatter(mesh, ((i, j, b) for (i, j), b in zip(_UPPER, local)))
 
 
 def nonlinear_load(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> np.ndarray:
     """Load vector F_i = int |u|^(p-2) u phi_i on the P1 interpolant of u."""
-    if p <= 2:
-        raise ConfigError(f"p must be > 2, got {p}")
+    if not 2 < p < math.inf:
+        raise ConfigError(f"p must be finite and > 2, got {p}")
     u = _check_field(mesh, u)
     rule = triangle_rule(degree)
-    uq = point_values(mesh, u, rule)
-    fq = np.abs(uq)
-    fq **= p - 2.0
-    fq *= uq
-    return _load(mesh, rule, fq)
+
+    def values(s):
+        uq = point_values(mesh, u, rule, s)
+        fq = np.abs(uq)
+        fq **= p - 2.0
+        fq *= uq
+        return fq
+
+    return _load(mesh, rule, values)
 
 
 def load_vector(mesh: Mesh, f, degree: int = 5) -> np.ndarray:
     """Load vector of a coordinate function f(x, y) (for linear problems)."""
     rule = triangle_rule(degree)
-    x = point_values(mesh, mesh.vertices[:, 0], rule)
-    y = point_values(mesh, mesh.vertices[:, 1], rule)
-    return _load(mesh, rule, f(x, y))
+    x, y = mesh.vertices.T
+    return _load(mesh, rule, lambda s: f(point_values(mesh, x, rule, s),
+                                         point_values(mesh, y, rule, s)))
 
 
 def lp_norm(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> float:
     """L^p norm of the P1 interpolant of u via quadrature."""
-    if p <= 0:
-        raise ConfigError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ConfigError(f"p must be finite and positive, got {p}")
     u = _check_field(mesh, u)
     rule = triangle_rule(degree)
-    uq = point_values(mesh, u, rule)
-    np.abs(uq, out=uq)
-    uq **= p
-    return inner(rule.weights @ uq, mesh.geometry[0]) ** (1.0 / p)
+    local = np.empty(mesh.n_triangles)    # sum_q w_q |u(x_q)|^p per triangle
+    for s in _blocks(mesh):
+        uq = point_values(mesh, u, rule, s)
+        np.abs(uq, out=uq)
+        uq **= p
+        local[s] = rule.weights @ uq
+    return inner(local, mesh.geometry[0]) ** (1.0 / p)
 
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -119,8 +119,12 @@ def factor(A: sp.spmatrix):
     Poisson check and the gap.  Minimum degree on A^T + A (about half the
     fill of SuperLU's default COLAMD on the stiffness), diagonal pivots
     only and symmetric mode: where perm_r == perm_c, U's diagonal holds the
-    pivots D of L D L', whose signs give A's inertia.  Returns the SuperLU
-    object; an exactly singular A raises NumericsError.
+    pivots D of L D L', whose signs give A's inertia.  Panels of one column:
+    with SuperLU's default of 10, the panel workspace raised the peak RSS of
+    the L10 stiffness factorization 100 MB above the factors' own.  Panels
+    of one are faster up to L8 (57 -> 42 ms at L7) and slower at L10
+    (11-13 -> 15-16 s).  Returns the SuperLU object; an exactly singular A
+    raises NumericsError.
     """
     # Imported here: scipy.sparse.linalg adds ~7 MB and ~0.08 s to every
     # import of the package, and most entry points never factor.
@@ -128,7 +132,7 @@ def factor(A: sp.spmatrix):
 
     try:
         return linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                           options=dict(SymmetricMode=True))
+                           panel_size=1, options=dict(SymmetricMode=True))
     except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
         raise NumericsError(f"sparse LU: {e}") from None
 

@@ -64,7 +64,9 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
     Row j compares levels j and j+1; rates need a predecessor row.  Warm
     starting (prolonging each solution up one level) is disabled in
     paper-protocol mode (iters_fixed) so every level runs the published
-    iteration count from the flat guess.
+    iteration count from the flat guess.  One mesh is alive at a time: level
+    j's gap is taken before it is refined, and only its solution is kept
+    once level j+1 exists, so the finest solve's factor sets the peak memory.
     """
     if not (2 <= j_max <= 9):
         raise ConfigError(f"j_max must be in [2, 9], got {j_max}")
@@ -76,35 +78,29 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
         config = dataclasses.replace(config, p=p)
     warm_start = config.iters_fixed is None
 
-    meshes = [build_unit_square(1)]
-    for _ in range(1, j_max + 1):
-        meshes.append(refine_uniform(meshes[-1]))
-
-    solutions = []
-    u0 = None
-    for i, mesh in enumerate(meshes):
+    def solve(mesh: Mesh, u0=None):
         if progress:
             progress(f"solving level {mesh.level} (p={p})")
-        sol = solve_extremal(mesh, config, u0=u0)
-        solutions.append(sol)
-        if warm_start and i + 1 < len(meshes):
-            u0 = prolongate(sol.normalized_field, meshes[i + 1])
+        return solve_extremal(mesh, config, u0=u0)
 
     def pick(sol):
         return sol.field if scaling == "lambda1" else sol.normalized_field
 
+    mesh = build_unit_square(1)
+    sol = solve(mesh)
     rows: List[RateRow] = []
     prev_l2 = prev_h1 = None
     for j in range(1, j_max + 1):
-        fine = meshes[j]
-        l2, h1 = inter_level_error(pick(solutions[j - 1]), pick(solutions[j]), fine)
-        sol = solutions[j - 1]
         gap = None
-        if (meshes[j - 1].interior.size >= 2
-                and meshes[j - 1].level <= GAP_MAX_LEVEL
+        if (mesh.interior.size >= 2
+                and mesh.level <= GAP_MAX_LEVEL
                 and sol.fixed_point_residual <= diagnostics.RESIDUAL_PRECONDITION):
             gap = diagnostics.nondegeneracy_gap(
-                meshes[j - 1], sol, p, quad_degree=config.quad_degree).gap
+                mesh, sol, p, quad_degree=config.quad_degree).gap
+        coarse_level, coarse = mesh.level, sol
+        mesh = refine_uniform(mesh)   # the coarse mesh is released here
+        sol = solve(mesh, prolongate(coarse.normalized_field, mesh) if warm_start else None)
+        l2, h1 = inter_level_error(pick(coarse), pick(sol), mesh)
         rows.append(RateRow(
             j=j,
             h_label=2.0 ** -j,
@@ -112,13 +108,13 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
             rate_l2=observed_rate(prev_l2, l2) if prev_l2 is not None else None,
             err_h1=h1,
             rate_h1=observed_rate(prev_h1, h1) if prev_h1 is not None else None,
-            c_h=sol.c_h,
-            linf=sol.linf,
+            c_h=coarse.c_h,
+            linf=coarse.linf,
             gap=gap,
-            residual=sol.fixed_point_residual,
-            iters=sol.iterations,
-            unconverged=tuple(meshes[i].level for i in (j - 1, j)
-                              if not solutions[i].converged),
+            residual=coarse.fixed_point_residual,
+            iters=coarse.iterations,
+            unconverged=tuple(level for level, s in ((coarse_level, coarse), (mesh.level, sol))
+                              if not s.converged),
         ))
         prev_l2, prev_h1 = l2, h1
     return rows

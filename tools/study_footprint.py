@@ -1,0 +1,56 @@
+"""Wall time, peak memory and last rates of one rate study, in a fresh process.
+
+    python3 tools/study_footprint.py --p 11 --levels 8
+
+Imports laneemden from this checkout's ``src/``, runs ``run_study(p, levels)``
+with the default settings and prints one JSON line: the study's wall seconds,
+the process's ``ru_maxrss`` in MB after the imports and after the study, and
+the last row's L2 and H1 rates.  ``ru_maxrss`` is a high-water mark of the
+whole process, so run one study per command.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def maxrss_mb() -> float:
+    """High-water resident set of this process in MB (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--p", type=float, default=11.0, help="exponent p > 2")
+    ap.add_argument("--levels", type=int, default=8, help="j_max of run_study")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(SRC))
+    from laneemden.study import run_study
+
+    setup_mb = maxrss_mb()
+    t0 = time.perf_counter()
+    rows = run_study(args.p, args.levels)
+    wall_s = time.perf_counter() - t0
+    last = rows[-1]
+    print(json.dumps({
+        "p": args.p,
+        "levels": args.levels,
+        "wall_s": round(wall_s, 3),
+        "setup_maxrss_mb": round(setup_mb, 1),
+        "maxrss_mb": round(maxrss_mb(), 1),
+        "rate_l2": last.rate_l2,
+        "rate_h1": last.rate_h1,
+    }))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
