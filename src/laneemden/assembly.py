@@ -8,13 +8,14 @@ summed straight into the data array of the mesh's cached sparsity pattern
 (``Mesh.pattern``), one corner pair at a time.  Accumulation follows the
 fixed corner order, so results are deterministic.
 
-The quadrature kernels stream the triangles in blocks of ``QUAD_BLOCK``:
-a block's nodal values are gathered, evaluated at the points and reduced
-into its columns of the (3, nt) load array, the per-triangle integrals or
-the six (nt,) matrix blocks before the next block is gathered, so no
-(nq, nt) array is ever whole.  Every column is computed by the same
-operations as on the whole mesh, and the final ``bincount``, ``inner`` or
-``_scatter`` is unchanged.
+The quadrature kernels share one loop, ``triangle_integrals``, which
+streams the triangles in blocks of ``QUAD_BLOCK``: a block's nodal values
+are gathered, evaluated at the points and reduced into its columns of the
+per-triangle integrals before the next block is gathered, so no (nq, nt)
+array is ever whole.  Every column is computed by the same operations as
+on the whole mesh; each kernel supplies only its integrand and its
+reduction (``bincount`` for a load, a sum for the norm, ``_scatter`` for
+the weighted mass).
 
 The small products here are shaped so that OpenBLAS runs them in the
 calling thread: a call it splits across its thread pool leaves the pool's
@@ -122,9 +123,20 @@ def point_values(mesh: Mesh, u: np.ndarray, rule: QuadratureRule,
     return rule.points @ u[mesh.corners[:, block]]
 
 
-def _blocks(mesh: Mesh):
-    """Slices of QUAD_BLOCK consecutive triangles covering the mesh; the last may be short."""
-    return (slice(s, s + QUAD_BLOCK) for s in range(0, mesh.n_triangles, QUAD_BLOCK))
+def triangle_integrals(mesh: Mesh, table: np.ndarray, values) -> np.ndarray:
+    """Per-triangle integrals (r, nt): column T is area_T (table @ values(T)).
+
+    ``table`` (r, nq) holds the rule's weights times any point factors and
+    ``values(s)`` the integrand (nq, b) at the points of the triangles of the
+    slice s.  The triangles go in blocks of QUAD_BLOCK (the last may be
+    short), each evaluated and reduced before the next is gathered.
+    """
+    area = mesh.geometry[0]
+    out = np.empty((table.shape[0], mesh.n_triangles))
+    for start in range(0, mesh.n_triangles, QUAD_BLOCK):
+        s = slice(start, start + QUAD_BLOCK)
+        np.multiply(table @ values(s), area[s], out=out[:, s])
+    return out
 
 
 def _scatter(mesh: Mesh, blocks) -> sp.csr_matrix:
@@ -157,18 +169,6 @@ def _scatter(mesh: Mesh, blocks) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _load(mesh: Mesh, rule: QuadratureRule, values) -> np.ndarray:
-    """Load vector b_i = sum_T area_T sum_q w_q f[q, T] lam_qi, where
-    ``values(block)`` gives the point values f (nq, b) on a block's triangles."""
-    table = rule.points.T * rule.weights   # (3, nq)
-    area = mesh.geometry[0]
-    local = np.empty((3, mesh.n_triangles))
-    for s in _blocks(mesh):
-        np.multiply(table @ values(s), area[s], out=local[:, s])
-    return np.bincount(mesh.corners.ravel(), weights=local.ravel(),
-                       minlength=mesh.n_vertices)
-
-
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j)."""
     area, grads = mesh.geometry
@@ -195,17 +195,13 @@ def assemble_weighted_mass(
     w = _check_field(mesh, w)
     rule = triangle_rule(degree)
     lam = rule.points
-    area = mesh.geometry[0]
     # Row k of the table weighs the points for corner pair _UPPER[k].  One
     # (6, nq) product per block stays in the calling thread; on the whole
     # mesh OpenBLAS threaded a (9, nq) one from about 2^14 triangles on.
     table = np.array([lam[:, i] * lam[:, j] * rule.weights for i, j in _UPPER])
-    local = np.empty((len(_UPPER), mesh.n_triangles))
-    for s in _blocks(mesh):
-        fac = point_values(mesh, w, rule, s)
-        np.abs(fac, out=fac)
-        fac **= exponent                  # 0**0 == 1, so exponent 0 gives mass
-        np.multiply(table @ fac, area[s], out=local[:, s])
+    # 0**0 == 1, so exponent 0 gives the mass matrix
+    local = triangle_integrals(mesh, table,
+                               lambda s: np.abs(point_values(mesh, w, rule, s)) ** exponent)
     return _scatter(mesh, ((i, j, b) for (i, j), b in zip(_UPPER, local)))
 
 
@@ -223,15 +219,19 @@ def nonlinear_load(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> np.n
         fq *= uq
         return fq
 
-    return _load(mesh, rule, values)
+    # b_i = sum_T area_T sum_q w_q f(x_q) lam_qi, summed over the corners
+    local = triangle_integrals(mesh, rule.points.T * rule.weights, values)
+    return np.bincount(mesh.corners.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
 
 
 def load_vector(mesh: Mesh, f, degree: int = 5) -> np.ndarray:
     """Load vector of a coordinate function f(x, y) (for linear problems)."""
     rule = triangle_rule(degree)
     x, y = mesh.vertices.T
-    return _load(mesh, rule, lambda s: f(point_values(mesh, x, rule, s),
-                                         point_values(mesh, y, rule, s)))
+    local = triangle_integrals(mesh, rule.points.T * rule.weights,
+                               lambda s: f(point_values(mesh, x, rule, s),
+                                           point_values(mesh, y, rule, s)))
+    return np.bincount(mesh.corners.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
 
 
 def lp_norm(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> float:
@@ -240,13 +240,9 @@ def lp_norm(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> float:
         raise ConfigError(f"p must be finite and positive, got {p}")
     u = _check_field(mesh, u)
     rule = triangle_rule(degree)
-    local = np.empty(mesh.n_triangles)    # sum_q w_q |u(x_q)|^p per triangle
-    for s in _blocks(mesh):
-        uq = point_values(mesh, u, rule, s)
-        np.abs(uq, out=uq)
-        uq **= p
-        local[s] = rule.weights @ uq
-    return inner(local, mesh.geometry[0]) ** (1.0 / p)
+    local = triangle_integrals(mesh, rule.weights[None],
+                               lambda s: np.abs(point_values(mesh, u, rule, s)) ** p)
+    return float(local.sum()) ** (1.0 / p)
 
 
 def _check_field(mesh: Mesh, u: np.ndarray) -> np.ndarray:

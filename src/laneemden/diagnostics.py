@@ -32,6 +32,9 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
     minimizer; W is the mass matrix weighted by |U|^(p-2), integrated with
     the quadrature rule of degree quad_degree.
     """
+    if mesh.interior.size < 2:  # the constraint leaves no subspace
+        raise ConfigError(f"a gap needs at least 2 interior vertices; level "
+                          f"{mesh.level} has {mesh.interior.size}")
     if solution.fixed_point_residual > RESIDUAL_PRECONDITION:
         raise ConfigError(
             f"extremal residual {solution.fixed_point_residual:.2e} too large "

@@ -1,8 +1,9 @@
 """Normalized gradient descent for the discrete Sobolev extremal, Anderson-accelerated.
 
-One descent step: solve the Poisson problem K w = F(u) on the interior,
-move u <- u - eta (u - w), renormalize to unit L^p norm (the norm comes
-from the same quadrature pass as the next load, see _evaluate).  The
+The unknowns are the interior nodal values x (the P1 fields vanish on the
+boundary).  One descent step: solve the Poisson problem K w = F(x) on the
+interior, move x <- x - eta (x - w), renormalize to unit L^p norm (the
+norm comes from the same quadrature pass as the next load).  The
 converged solve mixes each step with the last ANDERSON_DEPTH iterates and
 residuals of that map (Anderson, J. ACM 12 (1965); Walker and Ni, SIAM J.
 Numer. Anal. 49 (2011)), so eta is the mixing weight; the paper protocol
@@ -67,18 +68,6 @@ class ExtremalSolution:
     stop: str                     # "stagnated", "max_iters" or "iters_fixed"
 
 
-class _Workspace:
-    """Per-mesh operators shared across descent steps; interior stiffness factored once."""
-
-    def __init__(self, mesh: Mesh, config: MinimizerConfig):
-        if mesh.interior.size == 0:
-            raise ConfigError("mesh has no interior vertices")
-        self.mesh = mesh
-        self.config = config
-        self.interior = mesh.interior
-        self.solve = factor(assembly.restrict_interior(mesh.stiffness, mesh)).solve
-
-
 def initial_guess(mesh: Mesh, p: float, quad_degree: int = 5) -> np.ndarray:
     """1 on interior nodes, 0 on the boundary, scaled to unit L^p norm."""
     if mesh.interior.size == 0:
@@ -97,48 +86,6 @@ def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5)
     return np.sqrt(energy) / assembly.lp_norm(mesh, u, p, quad_degree)
 
 
-def _evaluate(ws: _Workspace, v: np.ndarray):
-    """Unit-norm rescaling u of v, its energy u'Ku, load F(u) and fixed-point residual.
-
-    One quadrature pass gives both the load and the norm: P1 quadrature is
-    linear in the nodal values, so v . F(v) is |v|_p^p under the same rule,
-    and F is (p-1)-homogeneous, so F(u) = F(v) / |v|_p^(p-1).
-    """
-    p = ws.config.p
-    Fv = assembly.nonlinear_load(ws.mesh, v, p, ws.config.quad_degree)
-    total = assembly.inner(v, Fv)
-    # Tested before the root, since a negative float to the power 1/p is
-    # complex; a NaN fails the test too.
-    if not 0.0 < total < math.inf:
-        raise NumericsError(f"degenerate iterate: |v|_p^p = {total:.3e}")
-    norm = total ** (1.0 / p)
-    u = v / norm
-    F = Fv / norm ** (p - 1.0)
-    Ku = ws.mesh.stiffness @ u
-    energy = assembly.inner(u, Ku)
-    # With |u|_p = 1 the multiplier-1 scale s satisfies s^(p-2) = energy,
-    # and the scaled residual reduces to |Ku - energy F| / (energy |F|).
-    F_int = F[ws.interior]
-    r = Ku[ws.interior] - energy * F_int
-    denom = energy * math.sqrt(assembly.inner(F_int, F_int))
-    residual = math.sqrt(assembly.inner(r, r)) / denom if denom > 0 else np.inf
-    return u, energy, F, residual
-
-
-def _step(ws: _Workspace, u: np.ndarray, energy: float, F: np.ndarray) -> np.ndarray:
-    """One descent step from u, its energy u'Ku and load F(u); not renormalized.
-
-    The gradient is evaluated on the multiplier-1 rescaling s u of the
-    unit-norm iterate (s^(p-2) = u'Ku when |u|_p = 1), which keeps the
-    inverse-Laplacian term on the same scale as u; in unit-norm variables
-    this multiplies the solved field w by the current energy.  Stepping on
-    the raw unit-norm iterate contracts only at a rate ~ eta / energy and
-    cannot finish in the published iteration budget.
-    """
-    w = assembly.extend_zero(ws.solve(F[ws.interior]), ws.mesh)
-    return u - ws.config.eta * (u - energy * w)
-
-
 def solve_extremal(mesh: Mesh, config: MinimizerConfig,
                    u0: Optional[np.ndarray] = None) -> ExtremalSolution:
     """Iterate from the flat initial guess until the quotient stagnates.
@@ -149,22 +96,62 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     cap).  Returns the best iterate flagged unconverged if max_iters is
     exhausted.
 
-    Each step maps u to g = _step(u) with residual f = g - u and moves to
+    The iterate is x, the interior values of a unit-norm field; the
+    boundary values of u0 are ignored, so the returned fields vanish on the
+    boundary.  A descent step maps x to g = x - eta (x - energy K^-1 F(x))
+    on the interior stiffness K, factored once.  The gradient is evaluated
+    on the multiplier-1 rescaling s x of the iterate (s^(p-2) = x'Kx when
+    |x|_p = 1), which keeps the inverse-Laplacian term on the same scale as
+    x; in unit-norm variables this multiplies K^-1 F by the current energy.
+    Stepping on the raw unit-norm iterate contracts only at a rate
+    ~ eta / energy and cannot finish in the published iteration budget.
+
+    The step's residual is f = g - x, and the iterate moves to
     v = g - dG gamma, gamma = argmin |dR gamma - f|, where the rows of dG
     and dR are the differences of the last ANDERSON_DEPTH maps and
-    residuals on the interior nodes (dG = dX + dR, with dX the iterate
-    differences); depth 0 (iters_fixed) gives v = g, the published descent.
-    Least squares rather than normal equations, since the history can be
-    rank-deficient (at L2 the mesh symmetries confine it to 4 dimensions).
+    residuals (dG = dX + dR, with dX the iterate differences); depth 0
+    (iters_fixed) gives v = g, the published descent.  Least squares rather
+    than normal equations, since the history can be rank-deficient (at L2
+    the mesh symmetries confine it to 4 dimensions).
     """
-    ws = _Workspace(mesh, config)
+    if mesh.interior.size == 0:
+        raise ConfigError("mesh has no interior vertices")
+    p, idx = config.p, mesh.interior
     if u0 is None:
-        u0 = initial_guess(mesh, config.p, config.quad_degree)
-    u, energy, F, residual = _evaluate(ws, np.asarray(u0, dtype=np.float64))
+        u0 = initial_guess(mesh, p, config.quad_degree)
+    x = assembly.restrict_interior(u0, mesh)
+    solve = factor(assembly.restrict_interior(mesh.stiffness, mesh)).solve
+
+    def evaluate(v: np.ndarray):
+        """Unit-norm rescaling x of v, its energy x'Kx, load F(x) and fixed-point residual.
+
+        One quadrature pass gives both the load and the norm: P1 quadrature
+        is linear in the nodal values, so v . F(v) is |v|_p^p under the same
+        rule, and F is (p-1)-homogeneous, so F(x) = F(v) / |v|_p^(p-1).
+        """
+        u = assembly.extend_zero(v, mesh)
+        Fv = assembly.nonlinear_load(mesh, u, p, config.quad_degree)[idx]
+        total = assembly.inner(v, Fv)
+        # Tested before the root, since a negative float to the power 1/p is
+        # complex; a NaN fails the test too.
+        if not 0.0 < total < math.inf:
+            raise NumericsError(f"degenerate iterate: |v|_p^p = {total:.3e}")
+        norm = total ** (1.0 / p)
+        x = v / norm
+        F = Fv / norm ** (p - 1.0)
+        Kx = (mesh.stiffness @ u)[idx] / norm
+        energy = assembly.inner(x, Kx)
+        # With |x|_p = 1 the multiplier-1 scale s satisfies s^(p-2) = energy,
+        # and the scaled residual reduces to |Kx - energy F| / (energy |F|).
+        r = Kx - energy * F
+        denom = energy * math.sqrt(assembly.inner(F, F))
+        residual = math.sqrt(assembly.inner(r, r)) / denom if denom > 0 else np.inf
+        return x, energy, F, residual
+
+    x, energy, F, residual = evaluate(x)
     quotient = np.sqrt(energy)
     fixed = config.iters_fixed is not None
     depth = 0 if fixed else ANDERSON_DEPTH
-    idx = ws.interior
     dG = np.empty((depth, idx.size))  # ring buffers, row (k - 2) % depth
     dR = np.empty((depth, idx.size))
     stop = "iters_fixed" if fixed else "max_iters"
@@ -172,28 +159,34 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     for k in range(1, (config.iters_fixed if fixed else config.max_iters) + 1):
         iterations = k
         prev = quotient
-        v = _step(ws, u, energy, F)
+        v = g = x - config.eta * (x - energy * solve(F))
         if depth:
-            g = v[idx]
-            f = g - u[idx]
+            f = g - x
             if k > 1:
                 row = (k - 2) % depth
                 dG[row], dR[row] = g - g_prev, f - f_prev
                 m = min(k - 1, depth)
                 gamma = np.linalg.lstsq(dR[:m].T, f, rcond=None)[0]
-                v[idx] = g - gamma @ dG[:m]
+                v = g - gamma @ dG[:m]
             g_prev, f_prev = g, f
-        u, energy, F, residual = _evaluate(ws, v)
+        x, energy, F, residual = evaluate(v)
         quotient = np.sqrt(energy)
         if (not fixed and abs(quotient - prev) <= config.quotient_tol * quotient
                 and residual <= config.residual_tol):
             stop = "stagnated"
             break
 
-    field = energy ** (1.0 / (config.p - 2.0)) * u  # multiplier-1 scale s u
-    if field.sum() < 0.0:  # resolve the +-U dichotomy to the positive branch
-        field = -field
-        u = -u
+    try:
+        scale = energy ** (1.0 / (p - 2.0))  # the multiplier-1 scale s
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise NumericsError(f"multiplier-1 scale energy^(1/(p-2)) = {energy:.6g}^"
+                            f"{1.0 / (p - 2.0):.6g} {'overflows' if scale else 'underflows'}")
+    if x.sum() < 0.0:  # resolve the +-U dichotomy to the positive branch
+        x = -x
+    u = assembly.extend_zero(x, mesh)
+    field = scale * u
     return ExtremalSolution(
         field=field,
         normalized_field=u,

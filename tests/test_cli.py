@@ -422,6 +422,34 @@ def test_diagnose_positive_gap(capsys):
     assert "positive True" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("scaling", ["lambda1", "unit-norm"])
+def test_solve_overflowing_multiplier_scale_exit_code(tmp_path, capsys, scaling):
+    code = main(["solve", "--p", "2.001", "--level", "2", "--scaling", scaling,
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "multiplier-1 scale" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_diagnose_overflowing_multiplier_scale_exit_code(capsys):
+    assert main(["diagnose", "--level", "2", "--p", "2.0000001"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "multiplier-1 scale" in err
+
+
+@pytest.mark.parametrize("domain,level", [("unit-square", "1"), ("hexagon", "0")])
+def test_diagnose_one_interior_vertex_is_usage_error(tmp_path, capsys, hexagon_text,
+                                                    domain, level):
+    if domain == "hexagon":
+        path = tmp_path / "hexagon.mesh"
+        path.write_text(hexagon_text())
+        domain = f"mesh:{path}"
+    assert main(["diagnose", "--p", "4", "--level", level, "--domain", domain]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "has 1" in err
+
+
 def test_paper_protocol_flags_accepted(tmp_path):
     code = main(["study", "--p", "4", "--levels", "2", "--iters-fixed", "10",
                  "--scaling", "unit-norm", "--out-dir", str(tmp_path)])

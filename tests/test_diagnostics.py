@@ -40,6 +40,16 @@ def test_residual_precondition_enforced():
         nondegeneracy_gap(m, sol, 4.0)
 
 
+def test_one_interior_vertex_is_a_config_error(weighted_mass_degrees):
+    # the constraint x'Kc = 0 leaves nothing of a 1-dimensional space;
+    # raised before any assembly
+    m = build_unit_square(1)
+    sol = solve_extremal(m, MinimizerConfig(p=4.0))
+    with pytest.raises(ConfigError, match="level 1 has 1"):
+        nondegeneracy_gap(m, sol, 4.0)
+    assert weighted_mass_degrees == []
+
+
 def test_gap_positive_for_quartic_extremal():
     m = build_unit_square(4)
     sol = solve_extremal(m, MinimizerConfig(p=4.0))

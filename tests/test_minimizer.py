@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from laneemden import assembly, minimizer, sparse
-from laneemden.errors import ConfigError, NumericsError
+from laneemden.errors import ConfigError, DimensionError, NumericsError
 from laneemden.mesh import Mesh, build_unit_square, prolongate, refine_uniform
 from laneemden.minimizer import (
     MinimizerConfig,
@@ -269,6 +269,44 @@ def test_zero_start_raises_numerics_error():
     m = build_unit_square(2)
     with pytest.raises(NumericsError):
         solve_extremal(m, MinimizerConfig(p=4.0), u0=np.zeros(m.n_vertices))
+
+
+@pytest.mark.parametrize("iters_fixed", [None, 60])
+def test_start_boundary_values_are_ignored(iters_fixed):
+    # The unknowns are the interior values: a start that is nonzero on the
+    # boundary gives a field that vanishes there exactly.  Its interior is a
+    # multiple of the flat guess, so it is the clean start after the first
+    # normalization.
+    m = build_unit_square(3)
+    cfg = MinimizerConfig(p=4.0, iters_fixed=iters_fixed)
+    sol = solve_extremal(m, cfg, u0=initial_guess(m, 4.0) + 0.3)
+    assert np.all(sol.field[m.is_boundary] == 0.0)
+    assert np.all(sol.normalized_field[m.is_boundary] == 0.0)
+    assert sol.converged
+    assert sol.c_h == pytest.approx(solve_extremal(m, cfg).c_h, rel=1e-12)
+
+
+def test_wrong_length_start_raises_dimension_error():
+    m = build_unit_square(2)
+    with pytest.raises(DimensionError):
+        solve_extremal(m, MinimizerConfig(p=4.0), u0=np.ones(m.n_vertices + 1))
+
+
+@pytest.mark.parametrize("p", [2.001, 2.0000001])
+def test_overflowing_multiplier_scale_raises_numerics_error(p):
+    # energy^(1/(p-2)) with energy about 2 pi^2 leaves the float range
+    m = build_unit_square(2)
+    with pytest.raises(NumericsError, match="multiplier-1 scale.*overflows"):
+        solve_extremal(m, MinimizerConfig(p=p))
+
+
+def test_underflowing_multiplier_scale_raises_numerics_error():
+    # On the square of side 10 the energy of a unit-norm field near p = 2 is
+    # about 2 pi^2 / 100 < 1, and its power 1/(p-2) rounds to 0.
+    m = build_unit_square(2)
+    big = replace(m, vertices=10.0 * m.vertices, h=10.0 * m.h)
+    with pytest.raises(NumericsError, match="multiplier-1 scale.*underflows"):
+        solve_extremal(big, MinimizerConfig(p=2.0001))
 
 
 def test_one_factorization_and_no_krylov_solve_per_level(monkeypatch):

@@ -1,8 +1,11 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -18,3 +21,66 @@ def test_study_footprint_prints_one_json_line():
     assert record["wall_s"] > 0.0
     assert 0.0 < record["setup_maxrss_mb"] <= record["maxrss_mb"]
     assert math.isfinite(record["rate_l2"]) and math.isfinite(record["rate_h1"])
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+compare = _bench_pairs().compare
+PARENT = [1.0 + 0.01 * i for i in range(10)]   # median 1.045, interquartile range 0.045
+NO_FAILS = {"parent": 0, "change": 0}
+
+
+def _faster(wins, ties=0, by=0.2):
+    """The parent's runs, `wins` of them lowered by `by`, then `ties` equal, the rest raised."""
+    return [p - by if i < wins else p if i < wins + ties else p + by
+            for i, p in enumerate(PARENT)]
+
+
+def test_nine_wins_beyond_the_spread_is_a_gain():
+    r = compare(PARENT, _faster(9), "lower", 0.25, NO_FAILS)
+    assert (r["wins"], r["ties"], r["gain"]) == (9, 0, True)
+    assert r["median_change"] < 0.0
+
+
+def test_eight_wins_is_not_a_gain():
+    r = compare(PARENT, _faster(8), "lower", 0.25, NO_FAILS)
+    assert (r["wins"], r["gain"]) == (8, False)
+
+
+def test_ties_count_for_neither_side():
+    r = compare(PARENT, _faster(9, ties=1), "lower", 0.25, NO_FAILS)
+    assert (r["wins"], r["ties"], r["gain"]) == (9, 1, True)
+    r = compare(PARENT, _faster(8, ties=2), "lower", 0.25, NO_FAILS)
+    assert (r["wins"], r["ties"], r["gain"]) == (8, 2, False)
+
+
+def test_move_inside_the_spread_is_not_a_gain():
+    parent = [1.0 + 0.1 * i for i in range(10)]   # interquartile range 0.45
+    r = compare(parent, [p - 0.05 for p in parent], "lower", 0.25, NO_FAILS)
+    assert (r["wins"], r["gain"]) == (10, False)
+
+
+def test_more_failed_operations_void_the_gain():
+    assert compare(PARENT, _faster(10), "lower", 0.25, {"parent": 1, "change": 1})["gain"]
+    assert not compare(PARENT, _faster(10), "lower", 0.25, {"parent": 0, "change": 1})["gain"]
+
+
+def test_higher_is_better_flips_the_sign():
+    r = compare(PARENT, _faster(10), "higher", 0.25, NO_FAILS)
+    assert (r["wins"], r["gain"], r["within_bound"]) == (0, False, True)
+    r = compare(PARENT, _faster(10, by=-0.2), "higher", 0.25, NO_FAILS)
+    assert (r["wins"], r["gain"]) == (10, True)
+
+
+@pytest.mark.parametrize("better,at,beyond", [("lower", 1.25, 2.0), ("higher", 0.75, 0.0)])
+def test_within_bound_holds_exactly_at_the_bound(better, at, beyond):
+    # a 0.25 bound on a parent median of 1.0: 1.25 (or 0.75) is the last value allowed
+    parent = [1.0] * 10
+    assert compare(parent, [at] * 10, better, 0.25, NO_FAILS)["within_bound"]
+    past = math.nextafter(at, beyond)
+    assert not compare(parent, [past] * 10, better, 0.25, NO_FAILS)["within_bound"]
