@@ -149,16 +149,13 @@ def _stamp() -> str:
 
 
 def _run(args) -> int:
-    if args.command in ("solve", "study"):  # the commands that write files
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
     if args.command == "solve":
         config = _config_from_args(args)
         mesh = _load_domain(args.domain, args.level)
         sol = solve_extremal(mesh, config)
         field = sol.field if args.scaling == "lambda1" else sol.normalized_field
-        path = out_dir / f"solution_p{args.p:g}_L{args.level}_{_stamp()}.txt"
+        path = Path(args.out_dir) / f"solution_p{args.p:g}_L{args.level}_{_stamp()}.txt"
+        path.parent.mkdir(parents=True, exist_ok=True)  # here: a failed run leaves none
         export_solution(mesh, field, path)
         print(f"level {args.level}  p {args.p:g}  c_h {sol.c_h:.10f}  "
               f"residual {sol.fixed_point_residual:.3e}  iters {sol.iterations}  "
@@ -181,7 +178,8 @@ def _run(args) -> int:
         rows = run_study(args.p, args.levels, config, scaling=args.scaling,
                          progress=lambda msg: print(msg, file=sys.stderr))
         csv_text = rows_to_csv(rows)
-        path = out_dir / f"study_p{args.p:g}_j{args.levels}_{_stamp()}.csv"
+        path = Path(args.out_dir) / f"study_p{args.p:g}_j{args.levels}_{_stamp()}.csv"
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(csv_text)
         print(csv_text, end="")
         print(f"wrote {path}", file=sys.stderr)

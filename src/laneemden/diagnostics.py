@@ -20,7 +20,10 @@ class GapReport:
     level: int
     p: float
     gap: float
-    positive: bool
+
+    @property
+    def positive(self) -> bool:
+        return self.gap > 0.0
 
 
 def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
@@ -40,14 +43,13 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
             f"extremal residual {solution.fixed_point_residual:.2e} too large "
             f"for a meaningful gap (need <= {RESIDUAL_PRECONDITION})"
         )
-    K = mesh.stiffness
     W = assembly.assemble_weighted_mass(mesh, solution.field, p - 2.0, quad_degree)
-    A = assembly.restrict_interior(K - (p - 1.0) * W, mesh)
-    B = assembly.restrict_interior(K, mesh)
+    B = assembly.restrict_interior(mesh.stiffness, mesh)
+    A = B - (p - 1.0) * assembly.restrict_interior(W, mesh)
     c = solution.field[mesh.interior]
     if not np.any(c):
         # degenerate zero input: quotient reduces to x'Kx / x'Kx = 1
-        return GapReport(level=mesh.level, p=p, gap=1.0, positive=True)
+        return GapReport(level=mesh.level, p=p, gap=1.0)
     gap = smallest_eig_constrained(A, B, c)
-    return GapReport(level=mesh.level, p=p, gap=gap, positive=gap > 0.0)
+    return GapReport(level=mesh.level, p=p, gap=gap)
 

@@ -34,8 +34,7 @@ class Mesh:
     ``parent_vertex[i]`` is the coarse index of an inherited vertex
     (-1 for vertices created at this level); ``parent_edge[i]`` holds
     the two coarse endpoints of the edge whose midpoint vertex i is
-    (-1, -1 for inherited vertices).  ``parent_nv`` is the vertex count
-    of the parent mesh (0 for a root mesh).  A refined mesh is in the
+    (-1, -1 for inherited vertices).  A refined mesh is in the
     canonical order of ``refine_uniform``; a root mesh read from a file
     keeps the file's numbering.
     """
@@ -46,8 +45,6 @@ class Mesh:
     is_boundary: np.ndarray   # (nv,) bool
     parent_vertex: np.ndarray  # (nv,) int64
     parent_edge: np.ndarray    # (nv, 2) int64
-    parent_nv: int
-    h: float                  # longest edge length
 
     @property
     def n_vertices(self) -> int:
@@ -56,6 +53,18 @@ class Mesh:
     @property
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
+
+    @cached_property
+    def h(self) -> float:
+        """Longest edge length, cached like ``geometry``.  Overflowing
+        coordinates give inf or NaN, which ``validate_mesh`` rejects."""
+        return _longest_edge(self.vertices, self.triangles)
+
+    @cached_property
+    def parent_nv(self) -> int:
+        """Vertex count of the parent mesh, the number of inherited
+        vertices (0 for a root mesh); cached like ``geometry``."""
+        return int(np.count_nonzero(self.parent_vertex >= 0))
 
     @cached_property
     def interior(self) -> np.ndarray:
@@ -226,8 +235,6 @@ def build_unit_square(level: int) -> Mesh:
         is_boundary=is_boundary,
         parent_vertex=np.full(nv, -1, dtype=np.int64),
         parent_edge=np.full((nv, 2), -1, dtype=np.int64),
-        parent_nv=0,
-        h=np.sqrt(2.0) / n,
     )
 
 
@@ -302,8 +309,6 @@ def refine_uniform(coarse: Mesh) -> Mesh:
             np.full(len(edges), -1, dtype=np.int64),
         ])[order],
         parent_edge=np.vstack([np.full((nvc, 2), -1, dtype=np.int64), edges])[order],
-        parent_nv=nvc,
-        h=_longest_edge(vertices, children),
     )
 
 
@@ -333,7 +338,8 @@ def validate_mesh(mesh: Mesh) -> None:
     # Finite coordinates can still be too large to subtract or multiply.
     with np.errstate(over="ignore", invalid="ignore"):
         areas = triangle_areas(mesh)
-    if not (np.isfinite(mesh.h) and np.all(np.isfinite(areas))):
+        h = mesh.h
+    if not (np.isfinite(h) and np.all(np.isfinite(areas))):
         raise MeshError("edge lengths or triangle areas overflow")
     if np.any(areas <= 0):
         raise MeshError("non-positive triangle area")
@@ -404,18 +410,13 @@ def mesh_from_tokens(tokens: list[str], where: str = "<mesh>") -> Mesh:
         raise MeshError(f"{where}: malformed token ({e})") from None
     if tdata.min() < 0 or tdata.max() >= nv:
         raise MeshError(f"{where}: triangle vertex index outside [0, {nv})")
-    vertices = vdata[:, :2].copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = _longest_edge(vertices, tdata)  # validate_mesh rejects inf and NaN
     mesh = Mesh(
         level=0,
-        vertices=vertices,
+        vertices=vdata[:, :2].copy(),
         triangles=tdata,
         is_boundary=vdata[:, 2] != 0.0,
         parent_vertex=np.full(nv, -1, dtype=np.int64),
         parent_edge=np.full((nv, 2), -1, dtype=np.int64),
-        parent_nv=0,
-        h=h,
     )
     validate_mesh(mesh)
     return mesh

@@ -63,9 +63,16 @@ class ExtremalSolution:
     c_h: float                    # discrete best constant (final quotient)
     iterations: int
     fixed_point_residual: float   # |K U - F(U)| / |F(U)| on interior nodes
-    linf: float
-    converged: bool
     stop: str                     # "stagnated", "max_iters" or "iters_fixed"
+
+    @property
+    def converged(self) -> bool:
+        # An iters_fixed run counts as converged whatever its residual.
+        return self.stop != "max_iters"
+
+    @property
+    def linf(self) -> float:
+        return float(np.abs(self.field).max())
 
 
 def initial_guess(mesh: Mesh, p: float, quad_degree: int = 5) -> np.ndarray:
@@ -193,8 +200,5 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
         c_h=quotient,
         iterations=iterations,
         fixed_point_residual=residual,
-        linf=float(np.abs(field).max()),
-        # An iters_fixed run counts as converged whatever its residual.
-        converged=stop != "max_iters",
         stop=stop,
     )

@@ -123,15 +123,16 @@ def factor(A: sp.spmatrix):
     with SuperLU's default of 10, the panel workspace raised the peak RSS of
     the L10 stiffness factorization 100 MB above the factors' own.  Panels
     of one are faster up to L8 (57 -> 42 ms at L7) and slower at L10
-    (11-13 -> 15-16 s).  Returns the SuperLU object; an exactly singular A
-    raises NumericsError.
+    (11-13 -> 15-16 s).  SuperLU gets A^T, which for a symmetric CSR matrix
+    is the CSC form of A sharing A's arrays, where ``tocsc`` would copy them.
+    Returns the SuperLU object; an exactly singular A raises NumericsError.
     """
     # Imported here: scipy.sparse.linalg adds ~7 MB and ~0.08 s to every
     # import of the package, and most entry points never factor.
     from scipy.sparse import linalg
 
     try:
-        return linalg.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return linalg.splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                            panel_size=1, options=dict(SymmetricMode=True))
     except RuntimeError as e:  # SuperLU: "Factor is exactly singular"
         raise NumericsError(f"sparse LU: {e}") from None

@@ -18,8 +18,6 @@ def reference_triangle() -> Mesh:
         is_boundary=np.array([True, True, True]),
         parent_vertex=np.full(3, -1, dtype=np.int64),
         parent_edge=np.full((3, 2), -1, dtype=np.int64),
-        parent_nv=0,
-        h=np.sqrt(2.0),
     )
 
 

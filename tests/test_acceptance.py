@@ -173,8 +173,6 @@ def test_criterion_10_unit_invariants():
         is_boundary=np.array([True, True, True]),
         parent_vertex=np.full(3, -1, dtype=np.int64),
         parent_edge=np.full((3, 2), -1, dtype=np.int64),
-        parent_nv=0,
-        h=math.sqrt(2.0),
     )
     K = assembly.assemble_stiffness(reference).toarray()
     M = assembly.assemble_mass(reference).toarray()

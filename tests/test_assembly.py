@@ -214,8 +214,6 @@ def test_degenerate_triangle_rejected():
         is_boundary=np.array([True, True, True]),
         parent_vertex=np.full(3, -1, dtype=np.int64),
         parent_edge=np.full((3, 2), -1, dtype=np.int64),
-        parent_nv=0,
-        h=2.0,
     )
     with pytest.raises(MeshError):
         assemble_stiffness(collapsed)

@@ -432,6 +432,14 @@ def test_solve_overflowing_multiplier_scale_exit_code(tmp_path, capsys, scaling)
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [["solve", "--level", "2"], ["study", "--levels", "2"]])
+def test_failed_run_makes_no_out_dir(tmp_path, command):
+    # at p = 2.001 the multiplier-1 scale overflows before anything is written
+    out = tmp_path / "out"
+    assert main([*command, "--p", "2.001", "--out-dir", str(out)]) == EXIT_NUMERICAL
+    assert not out.exists()
+
+
 def test_diagnose_overflowing_multiplier_scale_exit_code(capsys):
     assert main(["diagnose", "--level", "2", "--p", "2.0000001"]) == EXIT_NUMERICAL
     err = capsys.readouterr().err

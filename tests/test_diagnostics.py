@@ -18,8 +18,6 @@ def _fake_solution(mesh, field, residual=0.0):
         c_h=0.0,
         iterations=0,
         fixed_point_residual=residual,
-        linf=float(np.abs(field).max()) if field.size else 0.0,
-        converged=True,
         stop="stagnated",
     )
 
@@ -85,8 +83,9 @@ def test_gap_monotone_in_weight_scale():
     assert gaps[0] > 0.0 >= gaps[2]
 
 
-def test_gap_report_flag_consistent():
-    r = GapReport(level=3, p=4.0, gap=-0.5, positive=False)
+@pytest.mark.parametrize("gap", [-0.5, 0.0, 0.5])
+def test_gap_report_flag_consistent(gap):
+    r = GapReport(level=3, p=4.0, gap=gap)
     assert r.positive == (r.gap > 0.0)
 
 

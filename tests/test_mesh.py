@@ -55,6 +55,11 @@ def test_mesh_invariants(level):
     assert m.h == pytest.approx(np.sqrt(2.0) / 2 ** level)
 
 
+def test_copy_with_new_vertices_has_their_h():
+    m = build_unit_square(3)
+    assert dataclasses.replace(m, vertices=2 * m.vertices).h == 2 * m.h
+
+
 def _grid_genealogy(level: int):
     """Genealogy of the unit square at ``level`` >= 1 by the grid rule of the
     former structured refinement, kept as the bit reference: even grid points
@@ -235,8 +240,6 @@ def _dict_refine(coarse: Mesh) -> Mesh:
             np.full(len(edges), -1, dtype=np.int64),
         ]),
         parent_edge=np.vstack([np.full((nvc, 2), -1, dtype=np.int64), edge_arr]),
-        parent_nv=nvc,
-        h=_longest_edge(vertices, children),
     )
 
 

@@ -8,6 +8,7 @@ from laneemden import assembly, minimizer, sparse
 from laneemden.errors import ConfigError, DimensionError, NumericsError
 from laneemden.mesh import Mesh, build_unit_square, prolongate, refine_uniform
 from laneemden.minimizer import (
+    ExtremalSolution,
     MinimizerConfig,
     initial_guess,
     rayleigh_quotient,
@@ -304,9 +305,18 @@ def test_underflowing_multiplier_scale_raises_numerics_error():
     # On the square of side 10 the energy of a unit-norm field near p = 2 is
     # about 2 pi^2 / 100 < 1, and its power 1/(p-2) rounds to 0.
     m = build_unit_square(2)
-    big = replace(m, vertices=10.0 * m.vertices, h=10.0 * m.h)
+    big = replace(m, vertices=10.0 * m.vertices)
     with pytest.raises(NumericsError, match="multiplier-1 scale.*underflows"):
         solve_extremal(big, MinimizerConfig(p=2.0001))
+
+
+@pytest.mark.parametrize("stop", ["stagnated", "max_iters", "iters_fixed"])
+def test_solution_derives_converged_and_linf(stop):
+    field = np.array([0.0, -3.0, 2.0])
+    sol = ExtremalSolution(field=field, normalized_field=field / 3.0, c_h=1.0,
+                           iterations=1, fixed_point_residual=0.5, stop=stop)
+    assert sol.converged == (stop != "max_iters")
+    assert sol.linf == 3.0
 
 
 def test_one_factorization_and_no_krylov_solve_per_level(monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -157,6 +159,20 @@ def test_factor_matches_dense_solve():
 def test_factor_singular_raises():
     with pytest.raises(NumericsError, match="singular"):
         factor(sp.csr_matrix(np.diag([0.0, 1.0, 2.0])))
+
+
+def test_factor_does_not_copy_the_matrix():
+    # SuperLU gets the CSC transpose, which shares the symmetric CSR matrix's arrays
+    mesh = build_unit_square(7)
+    K_int = restrict_interior(mesh.stiffness, mesh)
+    factor(K_int)  # imports scipy.sparse.linalg before tracing
+    tracemalloc.start()
+    try:
+        factor(K_int)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * (K_int.data.nbytes + K_int.indices.nbytes + K_int.indptr.nbytes)
 
 
 def test_eig_identity_pair():

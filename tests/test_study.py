@@ -9,6 +9,7 @@ from laneemden.mesh import build_unit_square, refine_uniform
 from laneemden.minimizer import MinimizerConfig, solve_extremal
 from laneemden.sparse import cg_solve
 from laneemden import assembly, study
+from laneemden import mesh as mesh_module
 from laneemden.study import (
     CSV_HEADER,
     inter_level_error,
@@ -62,6 +63,14 @@ def test_run_study_minimal():
     assert all(r.err_l2 >= 0.0 and r.err_h1 >= 0.0 for r in rows)
     # nestedness along the two rows
     assert rows[1].c_h <= rows[0].c_h + 1e-10
+
+
+def test_run_study_measures_no_edge_lengths(monkeypatch):
+    def measured(*args):
+        raise AssertionError("a study measured the mesh size h, which no row reads")
+
+    monkeypatch.setattr(mesh_module, "_longest_edge", measured)
+    assert len(run_study(4.0, 2)) == 2
 
 
 def test_run_study_validation():

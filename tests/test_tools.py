@@ -23,14 +23,14 @@ def test_study_footprint_prints_one_json_line():
     assert math.isfinite(record["rate_l2"]) and math.isfinite(record["rate_h1"])
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-compare = _bench_pairs().compare
+compare = _tool("bench_pairs").compare
 PARENT = [1.0 + 0.01 * i for i in range(10)]   # median 1.045, interquartile range 0.045
 NO_FAILS = {"parent": 0, "change": 0}
 
@@ -84,3 +84,34 @@ def test_within_bound_holds_exactly_at_the_bound(better, at, beyond):
     assert compare(parent, [at] * 10, better, 0.25, NO_FAILS)["within_bound"]
     past = math.nextafter(at, beyond)
     assert not compare(parent, [past] * 10, better, 0.25, NO_FAILS)["within_bound"]
+
+
+SOURCE = '''"""Module docstring,
+on two lines."""
+
+import os  # a comment after code
+
+
+def f(x):
+    """Docstring."""
+    # a comment line
+    s = """a string that is
+not a docstring"""
+    return (x +
+            1)
+'''
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings():
+    # import, def, the string's two lines and the return's two lines
+    assert _tool("code_lines").code_lines(SOURCE) == 6
+
+
+def test_code_lines_prints_each_module_and_the_total():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py")],
+                          capture_output=True, text=True, check=True, timeout=60)
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    modules = sorted(p.name for p in (ROOT / "src" / "laneemden").glob("*.py"))
+    assert [name for _, name in rows] == modules + ["total"]
+    counts = [int(n) for n, _ in rows]
+    assert all(n > 0 for n in counts[:-1]) and counts[-1] == sum(counts[:-1])
