@@ -16,11 +16,13 @@ from .mesh import (
     MAX_LEVEL,
     Mesh,
     build_unit_square,
-    mesh_from_tokens,
-    mesh_text,
+    dump_mesh,
     read_mesh,
     read_tokens,
     refine_uniform,
+    take_mesh,
+    validate_mesh,
+    write_rows,
 )
 from .minimizer import MinimizerConfig, solve_extremal
 from .study import (
@@ -41,10 +43,11 @@ def export_solution(mesh: Mesh, field: np.ndarray, path) -> None:
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (mesh.n_vertices,):
         raise DimensionError("field length does not match mesh")
-    text = mesh_text(mesh) + "values\n" + "%.17g\n" * field.size % tuple(field.tolist())
     try:
         with open(path, "w") as f:
-            f.write(text)
+            dump_mesh(mesh, f)
+            f.write("values\n")
+            write_rows(f, "%.17g\n", field)
     except OSError as e:
         raise OSError(f"cannot write solution to {path}: {e}") from e
 
@@ -52,21 +55,24 @@ def export_solution(mesh: Mesh, field: np.ndarray, path) -> None:
 def import_solution(path):
     """Inverse of export_solution; returns (mesh, field)."""
     try:
-        tokens = read_tokens(path)
+        with read_tokens(path) as tokens:
+            mesh = take_mesh(tokens, str(path))
+            nv = mesh.n_vertices
+            labelled = tokens.take(1) == ["values"]
+            values = np.empty(nv)
+            start = tokens.count
+            error = tokens.fill(values) if labelled else None
+            got = tokens.count - start
     except OSError as e:
         raise OSError(f"cannot read solution from {path}: {e}") from e
-    mesh = mesh_from_tokens(tokens, where=str(path))
-    nv = mesh.n_vertices
-    at = 2 + 3 * nv + 3 * mesh.n_triangles
-    if tokens[at:at + 1] != ["values"]:
+    # The mesh is validated once the last chunk is freed, and before the values.
+    validate_mesh(mesh)
+    if not labelled:
         raise MeshError(f"{path}: missing `values` section")
-    body = tokens[at + 1:at + 1 + nv]
-    if len(body) != nv:
+    if got < nv:
         raise MeshError(f"{path}: expected {nv} values")
-    try:
-        values = np.array(body, dtype=np.float64)
-    except ValueError:
-        raise MeshError(f"{path}: malformed value in `values` section") from None
+    if error is not None:
+        raise MeshError(f"{path}: malformed value in `values` section")
     return mesh, values
 
 

@@ -16,6 +16,11 @@ times as long to factor.
 
 from __future__ import annotations
 
+import io
+import math
+import os
+import stat
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +30,13 @@ from .errors import ConfigError, DimensionError, MeshError
 
 MAX_LEVEL = 12
 MIN_AREA = 1e-14
+# The text format is read in chunks of READ_CHUNK bytes and written in
+# blocks of WRITE_ROWS rows, so that neither direction holds a token list or
+# a text of the whole file: one Python str or int per number takes about
+# 60 B, against 8 B in the arrays.
+READ_CHUNK = 1 << 20
+WRITE_ROWS = 1 << 14
+_SPACE = b" \t\n\r\v\f"  # ASCII whitespace, as bytes.split() knows it
 
 
 @dataclass(frozen=True)
@@ -368,67 +380,193 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError(f"Euler characteristic {euler} != 2")
 
 
-def mesh_text(mesh: Mesh) -> str:
-    """The line-oriented mesh text format as one string (round-trips bit-exactly).
+def write_rows(f, row_format: str, *columns) -> None:
+    """Write one ``row_format`` line per row of the columns, WRITE_ROWS rows
+    at a time: each block is one ``%`` format over one tuple, since per-line
+    formatting and writes cost several times the float ``repr`` calls
+    themselves, and only a block's text is ever whole."""
+    n, k = len(columns[0]), len(columns)
+    for start in range(0, n, WRITE_ROWS):
+        stop = min(start + WRITE_ROWS, n)
+        rows = [None] * (k * (stop - start))
+        for j, column in enumerate(columns):
+            rows[j::k] = column[start:stop].tolist()
+        f.write(row_format * (stop - start) % tuple(rows))
 
-    Each section is one ``%`` format over one tuple: per-line formatting
-    and writes cost several times the float ``repr`` calls themselves.
-    """
-    nv = mesh.n_vertices
-    rows = [None] * (3 * nv)
-    rows[0::3] = mesh.vertices[:, 0].tolist()
-    rows[1::3] = mesh.vertices[:, 1].tolist()
-    rows[2::3] = mesh.is_boundary.tolist()  # %d prints a bool as 0 or 1
-    return (f"{nv} {mesh.n_triangles}\n"
-            + "%r %r %d\n" * nv % tuple(rows)
-            + "%d %d %d\n" * mesh.n_triangles % tuple(mesh.triangles.ravel().tolist()))
+
+def dump_mesh(mesh: Mesh, f) -> None:
+    """Write the line-oriented mesh text format to the text file f; it
+    round-trips bit-exactly through ``read_mesh``."""
+    f.write(f"{mesh.n_vertices} {mesh.n_triangles}\n")
+    # %d prints a bool as 0 or 1
+    write_rows(f, "%r %r %d\n", mesh.vertices[:, 0], mesh.vertices[:, 1], mesh.is_boundary)
+    write_rows(f, "%d %d %d\n", *mesh.triangles.T)
 
 
 def write_mesh(mesh: Mesh, path) -> None:
-    """Write ``mesh_text(mesh)`` to path."""
+    """Write the mesh text format (``dump_mesh``) to path."""
     with open(path, "w") as f:
-        f.write(mesh_text(mesh))
+        dump_mesh(mesh, f)
 
 
-def mesh_from_tokens(tokens: list[str], where: str = "<mesh>") -> Mesh:
-    """Build a root mesh from the whitespace-split text format tokens."""
-    if len(tokens) < 2:
+class TokenStream:
+    """Whitespace-split tokens of the text format, consumed section by section.
+
+    The tokens arrive in chunks, lists of str: a token list is one chunk,
+    and ``read_tokens`` streams a file's.  ``bound`` is at least the number
+    of tokens, so that a header's counts are checked against it before its
+    sections are allocated; ``count`` is the number consumed so far.
+    Leaving a ``with`` block on the stream reads the rest of it, unless an
+    error other than MeshError is on its way: a malformed file is reported
+    as such only once it is known to be UTF-8 text, as the whole-file
+    reader did, and a file read to its end is closed.
+    """
+
+    def __init__(self, chunks, bound: int):
+        self._chunks = iter(chunks)
+        self._chunk: list[str] = []
+        self._at = 0
+        self.bound = bound
+        self.count = 0
+
+    def _parts(self, n: float):
+        """Yield the next n tokens (fewer at the end) as pieces of the chunks."""
+        while n > 0:
+            while self._at == len(self._chunk):
+                self._chunk, self._at = [], 0  # freed before the next is made
+                self._chunk = next(self._chunks, None)
+                if self._chunk is None:
+                    self._chunk = []
+                    return
+            k = min(n, len(self._chunk) - self._at)
+            yield self._chunk if k == len(self._chunk) else self._chunk[self._at:self._at + k]
+            self._at += k
+            self.count += k
+            n -= k
+
+    def take(self, n: int) -> list[str]:
+        """The next n tokens, fewer at the end."""
+        return [t for part in self._parts(n) for t in part]
+
+    def fill(self, out: np.ndarray):
+        """Convert the next ``out.size`` tokens into the contiguous array out,
+        in order, and return the first conversion error (ValueError or
+        OverflowError) or None.  Tokens after an error are only counted;
+        at the end of the stream the rest of out is left unset."""
+        flat = out.reshape(-1)
+        done, error = 0, None
+        for part in self._parts(flat.size):
+            if error is None:
+                try:
+                    flat[done:done + len(part)] = part
+                except (ValueError, OverflowError) as e:
+                    error = e
+            done += len(part)
+            del part  # a chunk is freed before the next is made
+        return error
+
+    def drain(self) -> None:
+        """Consume (and count) the rest of the stream."""
+        deque(self._parts(math.inf), maxlen=0)  # holds no piece
+
+    def __enter__(self) -> TokenStream:
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
+        if kind is None or issubclass(kind, MeshError):
+            self.drain()
+
+
+def _file_chunks(f, path):
+    """Token lists of the binary file f, READ_CHUNK bytes at a time, each
+    chunk cut after its last ASCII whitespace byte: such a byte is never
+    part of a UTF-8 sequence, so the tokens are those of ``str.split()`` on
+    the whole text."""
+    with f:
+        buf = bytearray()
+        offset = 0  # file offset of buf[0]
+        while True:
+            block = f.read(READ_CHUNK)
+            buf += block
+            # buf held no whitespace before the block
+            end = (max(buf.rfind(c, len(buf) - len(block)) for c in _SPACE) + 1
+                   if block else len(buf))
+            try:
+                tokens = buf[:end].decode("utf-8").split()
+            except UnicodeDecodeError as e:
+                raise MeshError(f"{path}: not UTF-8 text (byte {offset + e.start})") from None
+            yield tokens
+            del tokens  # so that a chunk is freed before the next is made
+            if not block:
+                return
+            del buf[:end]
+            offset += end
+
+
+def read_tokens(path) -> TokenStream:
+    """Stream the whitespace-split tokens of a UTF-8 text file; MeshError when
+    the stream reaches bytes that are not UTF-8.  No token list or text of
+    the whole file is ever held."""
+    f = open(path, "rb")
+    if not stat.S_ISREG(os.fstat(f.fileno()).st_mode):  # a pipe's size is known once read
+        with f:
+            f = io.BytesIO(f.read())
+    size = f.seek(0, os.SEEK_END)
+    f.seek(0)
+    # A token takes at least one byte, and so does the space after it.
+    return TokenStream(_file_chunks(f, path), size // 2 + 1)
+
+
+def take_mesh(stream: TokenStream, where: str) -> Mesh:
+    """Consume the text format's mesh sections from stream and return the
+    root mesh they describe, not yet validated; MeshError if they are
+    malformed.  Call it inside ``with stream``."""
+    header = stream.take(2)
+    if len(header) < 2:
         raise MeshError(f"{where}: truncated mesh data")
     try:
-        nv, nt = int(tokens[0]), int(tokens[1])
+        nv, nt = int(header[0]), int(header[1])
     except ValueError:
-        raise MeshError(f"{where}: bad header {' '.join(tokens[:2])!r}") from None
+        raise MeshError(f"{where}: bad header {' '.join(header)!r}") from None
     if nv < 3 or nt < 1:
         raise MeshError(f"{where}: header needs nv >= 3 and nt >= 1, got {nv} {nt}")
     need = 2 + 3 * nv + 3 * nt
-    if len(tokens) < need:
-        raise MeshError(f"{where}: expected {need} tokens, got {len(tokens)}")
-    try:
-        vdata = np.array(tokens[2:2 + 3 * nv], dtype=np.float64).reshape(nv, 3)
-        tdata = np.array(tokens[2 + 3 * nv:need], dtype=np.int64).reshape(nt, 3)
-    except (ValueError, OverflowError) as e:
-        raise MeshError(f"{where}: malformed token ({e})") from None
+    if need > stream.bound:  # more than the file can hold: allocate nothing
+        stream.drain()
+        raise MeshError(f"{where}: expected {need} tokens, got {stream.count}")
+    vdata = np.empty((nv, 3))
+    tdata = np.empty((nt, 3), dtype=np.int64)
+    errors = [stream.fill(vdata), stream.fill(tdata)]
+    if stream.count < need:
+        raise MeshError(f"{where}: expected {need} tokens, got {stream.count}")
+    error = errors[0] or errors[1]
+    if error is not None:
+        raise MeshError(f"{where}: malformed token ({error})")
+    flags = vdata[:, 2]
+    bad = np.flatnonzero((flags != 0.0) & (flags != 1.0))
+    if bad.size:
+        raise MeshError(f"{where}: vertex {bad[0]} has boundary flag {flags[bad[0]]:g}, "
+                    f"not 0 or 1")
     if tdata.min() < 0 or tdata.max() >= nv:
         raise MeshError(f"{where}: triangle vertex index outside [0, {nv})")
-    mesh = Mesh(
+    return Mesh(
         level=0,
         vertices=vdata[:, :2].copy(),
         triangles=tdata,
-        is_boundary=vdata[:, 2] != 0.0,
+        is_boundary=flags == 1.0,
         parent_vertex=np.full(nv, -1, dtype=np.int64),
         parent_edge=np.full((nv, 2), -1, dtype=np.int64),
     )
-    validate_mesh(mesh)
+
+
+def mesh_from_tokens(tokens, where: str = "<mesh>") -> Mesh:
+    """Build and validate a root mesh from the text format's tokens, a token
+    list or a TokenStream; tokens after the mesh are read and ignored."""
+    stream = TokenStream([tokens], len(tokens)) if isinstance(tokens, list) else tokens
+    with stream:
+        mesh = take_mesh(stream, where)
+    validate_mesh(mesh)  # once the last chunk is freed
     return mesh
-
-
-def read_tokens(path) -> list[str]:
-    """Whitespace-split tokens of a UTF-8 text file; MeshError if it is not one."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read().split()
-    except UnicodeDecodeError as e:
-        raise MeshError(f"{path}: not UTF-8 text (byte {e.start})") from None
 
 
 def read_mesh(path) -> Mesh:

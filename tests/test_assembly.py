@@ -444,11 +444,24 @@ def test_block_load_is_bit_identical_to_whole_mesh(blocked_mesh):
     u = np.random.default_rng(6).standard_normal(m.n_vertices)
     rule = triangle_rule(5)
     uq = rule.points @ u[m.corners]
-    fq = np.abs(uq) ** 9.0 * uq
+    fq = assembly._power(np.abs(uq), 9.0) * uq
     local = (rule.points.T * rule.weights) @ fq
     local *= m.geometry[0]
     whole = np.bincount(m.corners.ravel(), weights=local.ravel(), minlength=m.n_vertices)
     assert np.array_equal(nonlinear_load(m, u, 11.0), whole)
+
+
+def test_power_by_squaring_matches_pow():
+    # |u| at the points; zeros, infinities and NaN pass through either way
+    x = np.abs(np.random.default_rng(8).standard_normal((7, 500)))
+    x[0, :3] = [0.0, np.inf, np.nan]
+    for e in range(1, assembly.MAX_SQUARING_EXPONENT + 1):
+        got, want = assembly._power(x.copy(), float(e)), x ** float(e)
+        # each squaring doubles the relative error it is handed
+        assert np.allclose(got, want, rtol=e * np.finfo(float).eps, atol=0.0, equal_nan=True)
+    # other exponents keep libm's pow bit for bit, 0 ** 0 == 1 included
+    for e in (0.0, 0.5, 2.5, 65.0, 9.000000000000002):
+        assert assembly._power(x.copy(), e).tobytes() == (x ** e).tobytes()
 
 
 def test_nonlinear_load_peak_memory():

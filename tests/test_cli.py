@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from laneemden.cli import (
     import_solution,
     main,
 )
+from laneemden import mesh as mesh_module
 from laneemden.errors import MeshError
 from laneemden.mesh import (
     MAX_LEVEL,
@@ -190,6 +193,43 @@ def test_unreadable_mesh_raises_mesh_error_and_exits_io(tmp_path, capsys, data):
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag", ["nan", "2", "0.5", "-1", "inf"])
+@pytest.mark.parametrize("vertex", [0, 4], ids=["corner", "centre"])
+def test_boundary_flag_other_than_0_or_1_exits_io(tmp_path, capsys, vertex, flag):
+    rows = ["0 0 1", "1 0 1", "1 1 1.0", "0 1 1", "0.5 0.5 0"]  # 1.0 is a 1
+    rows[vertex] = rows[vertex][:-1] + flag
+    path = tmp_path / "square.mesh"
+    path.write_text("\n".join(["5 4", *rows, "0 1 4", "1 2 4", "2 3 4", "3 0 4"]) + "\n")
+    message = f"vertex {vertex} has boundary flag {float(flag):g}, not 0 or 1"
+    with pytest.raises(MeshError, match=re.escape(message)):
+        read_mesh(path)
+    code = main(["solve", "--p", "4", "--level", "1", "--domain", f"mesh:{path}",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [f"invalid mesh: {path}: {message}"]
+
+
+@pytest.mark.parametrize("mesh_text", [
+    "x y\n",                                      # bad header
+    "3 1\n0 0 1\n1 zero 1\n0 1 1\n0 1 2\n",       # bad coordinate token
+    "3 1\n0 0 1\n1 0 2\n0 1 1\n0 1 2\n",          # boundary flag 2
+    "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 3\n",          # vertex index out of range
+    "3 1\n0 0 1\n1 0 1\n0 1 0\n0 1 2\n",          # fails validate_mesh
+    "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 2\nvalue\n",  # no `values` label
+    "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 2\nvalues\n0 x\n",  # malformed value
+], ids=["header", "token", "flag", "index", "invalid", "label", "value"])
+def test_non_utf8_text_is_reported_before_other_faults(tmp_path, monkeypatch, mesh_text):
+    # as when the whole file was decoded before its tokens were read
+    monkeypatch.setattr(mesh_module, "READ_CHUNK", 4)
+    data = mesh_text.encode() + b"0 0 0 0\n\xff\n"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    message = f"{path}: not UTF-8 text (byte {len(data) - 2})"
+    for read in (read_mesh, import_solution):
+        with pytest.raises(MeshError, match=re.escape(message)):
+            read(path)
+
+
 def _line_write_mesh(mesh, path):
     """The per-line mesh writer that the whole-section formatting replaced,
     kept as the byte reference."""
@@ -235,6 +275,59 @@ def test_writers_match_line_by_line_reference(tmp_path, hexagon_text, theta, dep
             write(*args, tmp_path / "got.txt")
             reference(*args, tmp_path / "want.txt")
             assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+
+@pytest.mark.parametrize("chunk, rows", [(1, 1), (3, 7), (64, 5)])
+def test_export_import_across_chunks_and_row_blocks(tmp_path, monkeypatch, hexagon_text,
+                                                     chunk, rows):
+    monkeypatch.setattr(mesh_module, "READ_CHUNK", chunk)
+    monkeypatch.setattr(mesh_module, "WRITE_ROWS", rows)
+    mesh = refine_uniform(mesh_from_tokens(hexagon_text(0.3).split()))  # 19 vertices
+    field = np.random.default_rng(2).standard_normal(mesh.n_vertices)
+    field[:len(SPECIAL)] = SPECIAL
+    export_solution(mesh, field, tmp_path / "got.txt")
+    _line_export_solution(mesh, field, tmp_path / "want.txt")
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    mesh2, field2 = import_solution(tmp_path / "got.txt")
+    for a, b in ((mesh.vertices, mesh2.vertices), (mesh.triangles, mesh2.triangles),
+                 (mesh.is_boundary, mesh2.is_boundary), (field, field2)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture(scope="module")
+def refined_solution(tmp_path_factory, hexagon_text):
+    """The rotated hexagon refined 7 times (98 304 triangles), a field on it,
+    its solution file and the bytes of the arrays that importing it returns."""
+    mesh = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(7):
+        mesh = refine_uniform(mesh)
+    field = np.random.default_rng(4).standard_normal(mesh.n_vertices)
+    path = tmp_path_factory.mktemp("refined") / "solution.txt"
+    export_solution(mesh, field, path)
+    nbytes = field.nbytes + sum(getattr(mesh, name).nbytes for name in (
+        "vertices", "triangles", "is_boundary", "parent_vertex", "parent_edge"))
+    return mesh, field, path, nbytes
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_import_solution_peak_memory(refined_solution):
+    # A token list of the whole file took about 10 times the arrays' bytes.
+    _, _, path, nbytes = refined_solution
+    assert _traced_peak(import_solution, path) <= 5 * nbytes
+
+
+def test_export_solution_peak_memory(refined_solution, tmp_path):
+    # The text of the whole file took about 4.3 times the arrays' bytes.
+    mesh, field, _, nbytes = refined_solution
+    assert _traced_peak(export_solution, mesh, field, tmp_path / "again.txt") <= nbytes
 
 
 def test_export_import_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from laneemden.mesh import (
     mesh_from_tokens,
     prolongate,
     read_mesh,
+    read_tokens,
     refine_uniform,
     triangle_areas,
     validate_mesh,
@@ -199,6 +202,84 @@ def test_mesh_file_round_trip(tmp_path):
     path2 = tmp_path / "square2.mesh"
     write_mesh(m2, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _assert_same_mesh(got: Mesh, want: Mesh):
+    for name in ("vertices", "triangles", "is_boundary"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+def test_stream_reads_tokens_across_chunk_cuts(tmp_path, monkeypatch, hexagon_text, chunk):
+    mesh = refine_uniform(refine_uniform(mesh_from_tokens(hexagon_text(0.3).split())))
+    path = tmp_path / "hexagon.mesh"
+    write_mesh(mesh, path)
+    monkeypatch.setattr(mesh_module, "READ_CHUNK", chunk)
+    # most tokens are longer than a chunk, so they straddle its cuts
+    assert read_tokens(path).take(10 ** 6) == path.read_text().split()
+    _assert_same_mesh(read_mesh(path), mesh)
+
+
+@pytest.mark.parametrize("chunk", [3, None], ids=["chunk3", "READ_CHUNK"])
+@pytest.mark.parametrize("layout", ["crlf", "no-newline", "unicode-spaces", "indic-digits"])
+def test_stream_reads_any_whitespace_layout(tmp_path, monkeypatch, hexagon_text, layout, chunk):
+    text = hexagon_text(0.3)
+    want = mesh_from_tokens(text.split())
+    if layout == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif layout == "no-newline":
+        text = text.rstrip()
+    elif layout == "unicode-spaces":  # str.split() knows them; the chunks are cut at \x0b
+        text = "".join(t + ("\u3000\x85" if k % 2 else "\x0b")
+                       for k, t in enumerate(text.split()))
+    else:  # int() reads the two-byte Arabic-Indic digits, which no cut may split
+        text = text.replace("\n0 1 2\n", "\n\u0660 \u0661 \u0662\n")
+    path = tmp_path / "layout.mesh"
+    path.write_bytes(text.encode())
+    if chunk is not None:
+        monkeypatch.setattr(mesh_module, "READ_CHUNK", chunk)
+    _assert_same_mesh(read_mesh(path), want)
+
+
+def test_header_beyond_the_file_size_allocates_nothing(tmp_path):
+    # 3e12 tokens cannot fit in 16 bytes; allocating for them would fail
+    path = tmp_path / "huge.mesh"
+    path.write_text("1000000000000 1\n0 0 1\n")
+    with pytest.raises(MeshError, match="expected 3000000000005 tokens, got 5$"):
+        read_mesh(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_mesh_from_a_pipe(tmp_path, hexagon_text):
+    # a pipe has no size to bound its token count until it is read
+    text = hexagon_text(0.3)
+    fifo = tmp_path / "hexagon.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        mesh = read_mesh(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    _assert_same_mesh(mesh, mesh_from_tokens(text.split()))
+
+
+@pytest.mark.parametrize("chunk", [5, 4096, None], ids=["chunk5", "chunk4096", "READ_CHUNK"])
+def test_non_utf8_byte_reports_its_file_offset(tmp_path, monkeypatch, hexagon_text, chunk):
+    mesh = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(4):
+        mesh = refine_uniform(mesh)
+    path = tmp_path / "hexagon.mesh"
+    write_mesh(mesh, path)
+    data = path.read_bytes()
+    if chunk is not None:
+        monkeypatch.setattr(mesh_module, "READ_CHUNK", chunk)
+    for at in (20000, len(data) - 2):  # past the first chunk and in the last token
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        with pytest.raises(MeshError, match=re.escape(f"not UTF-8 text (byte {at})")):
+            read_mesh(path)
 
 
 def _dict_refine(coarse: Mesh) -> Mesh:
