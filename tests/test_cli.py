@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from laneemden import mesh as mesh_module
 from laneemden.cli import (
     EXIT_IO,
     EXIT_NUMERICAL,
@@ -17,7 +18,6 @@ from laneemden.cli import (
     import_solution,
     main,
 )
-from laneemden import mesh as mesh_module
 from laneemden.errors import MeshError
 from laneemden.mesh import (
     MAX_LEVEL,
@@ -209,7 +209,7 @@ def test_boundary_flag_other_than_0_or_1_exits_io(tmp_path, capsys, vertex, flag
     assert capsys.readouterr().err.splitlines() == [f"invalid mesh: {path}: {message}"]
 
 
-@pytest.mark.parametrize("mesh_text", [
+@pytest.mark.parametrize("text", [
     "x y\n",                                      # bad header
     "3 1\n0 0 1\n1 zero 1\n0 1 1\n0 1 2\n",       # bad coordinate token
     "3 1\n0 0 1\n1 0 2\n0 1 1\n0 1 2\n",          # boundary flag 2
@@ -218,10 +218,10 @@ def test_boundary_flag_other_than_0_or_1_exits_io(tmp_path, capsys, vertex, flag
     "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 2\nvalue\n",  # no `values` label
     "3 1\n0 0 1\n1 0 1\n0 1 1\n0 1 2\nvalues\n0 x\n",  # malformed value
 ], ids=["header", "token", "flag", "index", "invalid", "label", "value"])
-def test_non_utf8_text_is_reported_before_other_faults(tmp_path, monkeypatch, mesh_text):
+def test_non_utf8_text_is_reported_before_other_faults(tmp_path, monkeypatch, text):
     # as when the whole file was decoded before its tokens were read
     monkeypatch.setattr(mesh_module, "READ_CHUNK", 4)
-    data = mesh_text.encode() + b"0 0 0 0\n\xff\n"
+    data = text.encode() + b"0 0 0 0\n\xff\n"
     path = tmp_path / "bad.txt"
     path.write_bytes(data)
     message = f"{path}: not UTF-8 text (byte {len(data) - 2})"
