@@ -189,6 +189,11 @@ def _run(args) -> int:
         path.write_text(csv_text)
         print(csv_text, end="")
         print(f"wrote {path}", file=sys.stderr)
+        high = [str(r.j) for r in rows if r.residual > RESIDUAL_PRECONDITION]
+        if args.iters_fixed is not None and high:
+            print(f"warning: --iters-fixed {args.iters_fixed} ended rows {', '.join(high)} "
+                  f"at residuals above the gap precondition {RESIDUAL_PRECONDITION}",
+                  file=sys.stderr)
         unconverged = sorted({level for r in rows for level in r.unconverged})
         if unconverged:
             print(f"warning: levels {', '.join(map(str, unconverged))} did not "

@@ -43,20 +43,24 @@ _SPACE = b" \t\n\r\v\f"  # ASCII whitespace, as bytes.split() knows it
 class Mesh:
     """Immutable triangulation with refinement genealogy.
 
-    ``parent_vertex[i]`` is the coarse index of an inherited vertex
-    (-1 for vertices created at this level); ``parent_edge[i]`` holds
-    the two coarse endpoints of the edge whose midpoint vertex i is
-    (-1, -1 for inherited vertices).  A refined mesh is in the
-    canonical order of ``refine_uniform``; a root mesh read from a file
-    keeps the file's numbering.
+    Vertex i is the average of the two coarse vertices ``parents[i]``:
+    (k, k) for a vertex inherited from coarse vertex k, (a, b) with a < b
+    for the midpoint of coarse edge (a, b), and (-1, -1) on a root mesh.
+    The stored arrays are made read-only, not copied, at construction: the
+    cached properties below are valid only on an immutable mesh.  A
+    refined mesh is in the canonical order of ``refine_uniform``; a root
+    mesh read from a file keeps the file's numbering.
     """
 
     level: int
     vertices: np.ndarray      # (nv, 2) float64
     triangles: np.ndarray     # (nt, 3) int64, counter-clockwise
     is_boundary: np.ndarray   # (nv,) bool
-    parent_vertex: np.ndarray  # (nv,) int64
-    parent_edge: np.ndarray    # (nv, 2) int64
+    parents: np.ndarray       # (nv, 2) int64
+
+    def __post_init__(self):
+        for a in (self.vertices, self.triangles, self.is_boundary, self.parents):
+            a.flags.writeable = False
 
     @property
     def n_vertices(self) -> int:
@@ -76,7 +80,8 @@ class Mesh:
     def parent_nv(self) -> int:
         """Vertex count of the parent mesh, the number of inherited
         vertices (0 for a root mesh); cached like ``geometry``."""
-        return int(np.count_nonzero(self.parent_vertex >= 0))
+        a, b = self.parents.T
+        return int(np.count_nonzero((a == b) & (a >= 0)))
 
     @cached_property
     def interior(self) -> np.ndarray:
@@ -239,14 +244,12 @@ def build_unit_square(level: int) -> Mesh:
     gx, gy = np.meshgrid(np.arange(m), np.arange(m))
     is_boundary = ((gx == 0) | (gx == n) | (gy == 0) | (gy == n)).ravel()
 
-    nv = m * m
     return Mesh(
         level=level,
         vertices=vertices,
         triangles=triangles,
         is_boundary=is_boundary,
-        parent_vertex=np.full(nv, -1, dtype=np.int64),
-        parent_edge=np.full((nv, 2), -1, dtype=np.int64),
+        parents=np.full((m * m, 2), -1, dtype=np.int64),
     )
 
 
@@ -316,16 +319,21 @@ def refine_uniform(coarse: Mesh) -> Mesh:
         vertices=vertices,
         triangles=children,
         is_boundary=np.concatenate([coarse.is_boundary, counts == 1])[order],
-        parent_vertex=np.concatenate([
-            np.arange(nvc, dtype=np.int64),
-            np.full(len(edges), -1, dtype=np.int64),
-        ])[order],
-        parent_edge=np.vstack([np.full((nvc, 2), -1, dtype=np.int64), edges])[order],
+        parents=np.vstack([np.arange(nvc, dtype=np.int64).repeat(2).reshape(nvc, 2),
+                           edges])[order],
     )
 
 
 def prolongate(coarse_field: np.ndarray, fine: Mesh) -> np.ndarray:
-    """Exact P1 interpolation of a coarse field onto its refinement."""
+    """Exact P1 interpolation of a coarse field onto its refinement.
+
+    Fine vertex i gets ``0.5 * f[a] + 0.5 * f[b]`` for (a, b) =
+    ``fine.parents[i]``, the formula of ``refine_uniform``'s midpoints, so
+    prolonging a coarse coordinate gives the fine one bit for bit.  Halving
+    first cannot overflow, and it gives the bits of ``f[k]`` on an inherited
+    vertex and of ``0.5 * (f[a] + f[b])`` on a midpoint, unless an entry is
+    subnormal: halving one can lose its last bit.
+    """
     coarse_field = np.asarray(coarse_field, dtype=np.float64)
     if fine.parent_nv == 0:
         raise DimensionError("fine mesh has no recorded parent")
@@ -333,14 +341,8 @@ def prolongate(coarse_field: np.ndarray, fine: Mesh) -> np.ndarray:
         raise DimensionError(
             f"expected coarse field of length {fine.parent_nv}, got {coarse_field.shape}"
         )
-    out = np.empty(fine.n_vertices, dtype=np.float64)
-    inherited = fine.parent_vertex >= 0
-    out[inherited] = coarse_field[fine.parent_vertex[inherited]]
-    mids = ~inherited
-    out[mids] = 0.5 * (
-        coarse_field[fine.parent_edge[mids, 0]] + coarse_field[fine.parent_edge[mids, 1]]
-    )
-    return out
+    a, b = fine.parents.T
+    return 0.5 * coarse_field[a] + 0.5 * coarse_field[b]
 
 
 def validate_mesh(mesh: Mesh) -> None:
@@ -554,8 +556,7 @@ def take_mesh(stream: TokenStream, where: str) -> Mesh:
         vertices=vdata[:, :2].copy(),
         triangles=tdata,
         is_boundary=flags == 1.0,
-        parent_vertex=np.full(nv, -1, dtype=np.int64),
-        parent_edge=np.full((nv, 2), -1, dtype=np.int64),
+        parents=np.full((nv, 2), -1, dtype=np.int64),
     )
 
 
@@ -570,5 +571,5 @@ def mesh_from_tokens(tokens, where: str = "<mesh>") -> Mesh:
 
 
 def read_mesh(path) -> Mesh:
-    """Read the mesh text format; genealogy fields are empty (root mesh)."""
+    """Read the mesh text format; its genealogy is empty (a root mesh)."""
     return mesh_from_tokens(read_tokens(path), where=str(path))

@@ -171,8 +171,7 @@ def test_criterion_10_unit_invariants():
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]], dtype=np.int64),
         is_boundary=np.array([True, True, True]),
-        parent_vertex=np.full(3, -1, dtype=np.int64),
-        parent_edge=np.full((3, 2), -1, dtype=np.int64),
+        parents=np.full((3, 2), -1, dtype=np.int64),
     )
     K = assembly.assemble_stiffness(reference).toarray()
     M = assembly.assemble_mass(reference).toarray()

@@ -165,6 +165,22 @@ def test_solve_iters_fixed_above_precondition_warns(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_study_iters_fixed_above_precondition_warns(tmp_path, capsys):
+    # 5 fixed steps leave row 2 at residual 0.39 (row 1, one interior vertex,
+    # at 0): still exit 0 and the same CSV, with one warning line naming row 2;
+    # 100 steps leave every row under the precondition and stay silent
+    args = ["study", "--p", "4", "--levels", "2", "--out-dir", str(tmp_path)]
+    assert main([*args, "--iters-fixed", "5"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if line.startswith("warning")] == [
+        "warning: --iters-fixed 5 ended rows 2 at residuals above the gap precondition 0.0001"]
+    csvs = list(tmp_path.glob("study_p4_j2_*.csv"))
+    assert len(csvs) == 1 and csvs[0].read_text() == captured.out
+
+    assert main([*args, "--iters-fixed", "100"]) == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
+
+
 HUGE = "1.7976931348623157e308"  # the largest finite double
 NEXT = "1.7976931348623155e308"  # the next double below it
 
@@ -305,7 +321,7 @@ def refined_solution(tmp_path_factory, hexagon_text):
     path = tmp_path_factory.mktemp("refined") / "solution.txt"
     export_solution(mesh, field, path)
     nbytes = field.nbytes + sum(getattr(mesh, name).nbytes for name in (
-        "vertices", "triangles", "is_boundary", "parent_vertex", "parent_edge"))
+        "vertices", "triangles", "is_boundary", "parents"))
     return mesh, field, path, nbytes
 
 

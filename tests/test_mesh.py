@@ -2,6 +2,7 @@ import dataclasses
 import os
 import re
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,15 +75,14 @@ def _grid_genealogy(level: int):
     gx, gy = np.meshgrid(np.arange(m), np.arange(m))
     gx = gx.ravel()
     gy = gy.ravel()
-    parent_vertex = np.full(m * m, -1, dtype=np.int64)
-    parent_edge = np.full((m * m, 2), -1, dtype=np.int64)
+    parents = np.full((m * m, 2), -1, dtype=np.int64)
     even = (gx % 2 == 0) & (gy % 2 == 0)
-    parent_vertex[even] = (gy[even] // 2) * mc + gx[even] // 2
+    parents[even] = ((gy[even] // 2) * mc + gx[even] // 2)[:, None]
     for odd_x, odd_y in ((1, 0), (0, 1), (1, 1)):
         sel = (gx % 2 == odd_x) & (gy % 2 == odd_y)
-        parent_edge[sel, 0] = ((gy[sel] - odd_y) // 2) * mc + (gx[sel] - odd_x) // 2
-        parent_edge[sel, 1] = ((gy[sel] + odd_y) // 2) * mc + (gx[sel] + odd_x) // 2
-    return parent_vertex, parent_edge
+        parents[sel, 0] = ((gy[sel] - odd_y) // 2) * mc + (gx[sel] - odd_x) // 2
+        parents[sel, 1] = ((gy[sel] + odd_y) // 2) * mc + (gx[sel] + odd_x) // 2
+    return parents
 
 
 @pytest.mark.parametrize("j", range(9))
@@ -90,10 +90,9 @@ def test_refine_matches_direct_build(j):
     coarse = build_unit_square(j)
     fine = refine_uniform(coarse)
     direct = build_unit_square(j + 1)
-    parent_vertex, parent_edge = _grid_genealogy(j + 1)
     for name, want in (("vertices", direct.vertices), ("triangles", direct.triangles),
                        ("is_boundary", direct.is_boundary),
-                       ("parent_vertex", parent_vertex), ("parent_edge", parent_edge)):
+                       ("parents", _grid_genealogy(j + 1))):
         got = getattr(fine, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     assert fine.h == direct.h
@@ -104,19 +103,21 @@ def test_refine_counts_and_inherited_coordinates():
     coarse = build_unit_square(2)
     fine = refine_uniform(coarse)
     assert fine.n_triangles == 4 * coarse.n_triangles
-    inherited = np.flatnonzero(fine.parent_vertex >= 0)
+    a, b = fine.parents.T
+    inherited = np.flatnonzero(a == b)
     assert inherited.size == coarse.n_vertices
     assert np.array_equal(
-        fine.vertices[inherited], coarse.vertices[fine.parent_vertex[inherited]]
+        fine.vertices[inherited], coarse.vertices[a[inherited]]
     )
 
 
 def test_midpoints_are_bit_exact():
     coarse = build_unit_square(3)
     fine = refine_uniform(coarse)
-    mids = np.flatnonzero(fine.parent_vertex < 0)
-    pa = coarse.vertices[fine.parent_edge[mids, 0]]
-    pb = coarse.vertices[fine.parent_edge[mids, 1]]
+    a, b = fine.parents.T
+    mids = np.flatnonzero(a != b)
+    pa = coarse.vertices[a[mids]]
+    pb = coarse.vertices[b[mids]]
     assert np.array_equal(fine.vertices[mids], 0.5 * (pa + pb))
 
 
@@ -162,7 +163,8 @@ def test_prolongate_is_linear_and_composes():
     # P1 interpolation on nested meshes is exact, so interpolate directly:
     # inherited values agree and all midpoints are averages along coarse edges
     assert np.isfinite(two_step).all()
-    back = two_step[m2.parent_vertex[m2.parent_vertex >= 0]]
+    a, b = m2.parents.T
+    back = two_step[a[a == b]]
     assert np.isfinite(back).all()
 
 
@@ -170,6 +172,39 @@ def test_prolongate_length_mismatch():
     m1 = refine_uniform(build_unit_square(1))
     with pytest.raises(DimensionError):
         prolongate(np.zeros(5), m1)
+
+
+@pytest.mark.parametrize("domain,depth", [("square", j) for j in range(9)]
+                         + [("hexagon", d) for d in range(1, 7)])
+def test_prolongated_coordinates_are_the_fine_ones(hexagon_text, domain, depth):
+    # prolongate and refine_uniform's midpoints share one formula, bit for bit
+    if domain == "square":
+        coarse = build_unit_square(depth)
+    else:
+        coarse = mesh_from_tokens(hexagon_text(0.3).split())
+        for _ in range(depth - 1):
+            coarse = refine_uniform(coarse)
+    fine = refine_uniform(coarse)
+    for k in (0, 1):
+        assert prolongate(coarse.vertices[:, k], fine).tobytes() == fine.vertices[:, k].tobytes()
+
+
+@pytest.mark.parametrize("name", ["vertices", "triangles", "is_boundary", "parents"])
+def test_stored_arrays_are_read_only(tmp_path, name):
+    # the caches assume an immutable mesh: a write after them would leave them stale
+    m = build_unit_square(2)
+    m.geometry
+    write_mesh(m, tmp_path / "square.mesh")
+    for mesh in (m, refine_uniform(m), read_mesh(tmp_path / "square.mesh")):
+        a = getattr(mesh, name)
+        with pytest.raises(ValueError, match="read-only"):
+            a[6] = a[5]
+    assert np.array_equal(m.geometry[0], triangle_areas(m))
+    # the flag is cleared on the array passed in, not on a copy
+    passed = getattr(m, name).copy()
+    assert passed.flags.writeable
+    assert getattr(dataclasses.replace(m, **{name: passed}), name) is passed
+    assert not passed.flags.writeable
 
 
 def test_generic_refinement_path(tmp_path):
@@ -316,11 +351,7 @@ def _dict_refine(coarse: Mesh) -> Mesh:
             coarse.is_boundary,
             np.array([edge_count[e] == 1 for e in edges], dtype=bool),
         ]),
-        parent_vertex=np.concatenate([
-            np.arange(nvc, dtype=np.int64),
-            np.full(len(edges), -1, dtype=np.int64),
-        ]),
-        parent_edge=np.vstack([np.full((nvc, 2), -1, dtype=np.int64), edge_arr]),
+        parents=np.vstack([np.column_stack([np.arange(nvc)] * 2), edge_arr]),
     )
 
 
@@ -342,8 +373,7 @@ def _canonical(mesh: Mesh) -> Mesh:
         vertices=mesh.vertices[order],
         triangles=np.array(triangles, dtype=np.int64),
         is_boundary=mesh.is_boundary[order],
-        parent_vertex=mesh.parent_vertex[order],
-        parent_edge=mesh.parent_edge[order],
+        parents=mesh.parents[order],
     )
 
 
@@ -353,7 +383,7 @@ def test_unstructured_refinement_matches_dict_reference(hexagon_text):
     for _ in range(4):
         fine = refine_uniform(mesh)
         ref = _canonical(_dict_refine(mesh))
-        for name in ("vertices", "triangles", "is_boundary", "parent_vertex", "parent_edge"):
+        for name in ("vertices", "triangles", "is_boundary", "parents"):
             got, want = getattr(fine, name), getattr(ref, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
         assert fine.h == ref.h
@@ -424,6 +454,18 @@ def test_longest_edge_matches_gathered_formula(hexagon_text, theta):
         assert mesh.h == _gathered_longest_edge(mesh.vertices, mesh.triangles)
         mesh = refine_uniform(mesh)
     assert mesh.h == _gathered_longest_edge(mesh.vertices, mesh.triangles)
+
+
+def test_prolongate_near_the_largest_double_is_finite_and_exact():
+    # halving first cannot overflow: the average of MAX and MAX is MAX, not inf
+    coarse = build_unit_square(2)
+    fine = refine_uniform(coarse)
+    u = np.random.default_rng(5).choice([MAX, np.nextafter(MAX, 0.0), 0.5 * MAX, -MAX],
+                                        coarse.n_vertices)
+    with np.errstate(over="raise"):
+        got = prolongate(u, fine)
+    want = [float((Fraction(u[a]) + Fraction(u[b])) / 2) for a, b in fine.parents.tolist()]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -86,6 +86,17 @@ def test_within_bound_holds_exactly_at_the_bound(better, at, beyond):
     assert not compare(parent, [past] * 10, better, 0.25, NO_FAILS)["within_bound"]
 
 
+def test_timed_out_run_is_recorded_as_failed(tmp_path, monkeypatch):
+    # a run past RUN_TIMEOUT_S is killed and recorded, not raised through main
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text("import time\ntime.sleep(60)\n")
+    bench_pairs = _tool("bench_pairs")
+    monkeypatch.setattr(bench_pairs, "RUN_TIMEOUT_S", 0.5)
+    r = bench_pairs.run_bench(tmp_path, "study-p4")
+    assert r == {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
+                 "error": "timed out after 0.5 s", "env": None, "exit": None}
+
+
 SOURCE = '''"""Module docstring,
 on two lines."""
 

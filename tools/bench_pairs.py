@@ -33,18 +33,27 @@ SEED = 0
 RUN_TIMEOUT_S = 900.0
 
 
+def failed_run(error: str) -> dict:
+    """The record of a run that gave no result line."""
+    return {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "error": error}
+
+
 def run_bench(checkout: Path, workload: str) -> dict:
-    """One bench/run.py run; its last stdout line plus the env line and exit code."""
+    """One bench/run.py run; its last stdout line plus the env line and exit
+    code.  A run killed at RUN_TIMEOUT_S is recorded as failed, with no env
+    line and no exit code, so that the pairs measured so far are kept."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {**failed_run(f"timed out after {RUN_TIMEOUT_S:g} s"), "env": None, "exit": None}
     lines = proc.stdout.strip().splitlines()
     env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), None)
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
-                  "error": proc.stderr.strip()[-2000:]}
+        result = failed_run(proc.stderr.strip()[-2000:])
     return {**result, "env": env, "exit": proc.returncode}
 
 
