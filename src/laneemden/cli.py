@@ -203,6 +203,8 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "poisson-check":
+        if not 2 <= args.levels <= 9:  # rows j_min = max(1, levels - 4) < j_max = levels <= 9
+            raise ConfigError(f"--levels must be in [2, 9], got {args.levels}")
         rows = poisson_rate_study(j_min=max(1, args.levels - 4), j_max=args.levels)
         print("j,err_l2,rate_l2,err_h1,rate_h1")
         for r in rows:

@@ -81,7 +81,11 @@ def initial_guess(mesh: Mesh, p: float, quad_degree: int = 5) -> np.ndarray:
         raise ConfigError("mesh has no interior vertices")
     u = np.zeros(mesh.n_vertices)
     u[mesh.interior] = 1.0
-    return u / assembly.lp_norm(mesh, u, p, quad_degree)
+    norm = assembly.lp_norm(mesh, u, p, quad_degree)
+    if not 0.0 < norm < math.inf:  # |u| < 1 between the nodes, so a large p underflows
+        raise NumericsError(f"initial guess: L^p norm {norm:.3e} at p = {p:g} "
+                            f"cannot be scaled to 1")
+    return u / norm
 
 
 def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5) -> float:
@@ -137,8 +141,9 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
         rule, and F is (p-1)-homogeneous, so F(x) = F(v) / |v|_p^(p-1).
         """
         u = assembly.extend_zero(v, mesh)
-        Fv = assembly.nonlinear_load(mesh, u, p, config.quad_degree)[idx]
-        total = assembly.inner(v, Fv)
+        with np.errstate(over="ignore", invalid="ignore"):  # the test below reports it
+            Fv = assembly.nonlinear_load(mesh, u, p, config.quad_degree)[idx]
+            total = assembly.inner(v, Fv)
         # Tested before the root, since a negative float to the power 1/p is
         # complex; a NaN fails the test too.
         if not 0.0 < total < math.inf:

@@ -25,6 +25,7 @@ from laneemden.mesh import (
     mesh_from_tokens,
     read_mesh,
     refine_uniform,
+    validate_mesh,
     write_mesh,
 )
 
@@ -340,6 +341,20 @@ def test_import_solution_peak_memory(refined_solution):
     assert _traced_peak(import_solution, path) <= 5 * nbytes
 
 
+def test_import_solution_peak_memory_with_blocked_validation(refined_solution):
+    # The whole-mesh area and edge-length pass and the whole-array edge keys
+    # took 4.1 times the arrays' bytes.
+    _, _, path, nbytes = refined_solution
+    assert _traced_peak(import_solution, path) <= 3.3 * nbytes
+
+
+def test_validate_mesh_peak_memory(refined_solution):
+    # The whole-mesh pass and edge keys took 3.03 times the mesh's bytes.
+    mesh, field, _, nbytes = refined_solution
+    fresh = dataclasses.replace(mesh)  # h is not cached on it
+    assert _traced_peak(validate_mesh, fresh) <= 2.5 * (nbytes - field.nbytes)
+
+
 def test_export_solution_peak_memory(refined_solution, tmp_path):
     # The text of the whole file took about 4.3 times the arrays' bytes.
     mesh, field, _, nbytes = refined_solution
@@ -509,6 +524,26 @@ def test_poisson_check_runs(capsys):
     out = capsys.readouterr().out
     assert out.startswith("j,err_l2,rate_l2,err_h1,rate_h1")
     assert "center value" in out
+
+
+@pytest.mark.parametrize("levels", ["1", "10"])
+def test_poisson_check_names_its_levels_flag(capsys, levels):
+    assert main(["poisson-check", "--levels", levels]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --levels must be in [2, 9], got {levels}\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    # |u|^(p-2) u overflows in the first load
+    (["solve", "--level", "3", "--p", "5000"], "degenerate iterate: |v|_p^p = inf"),
+    # the flat guess's L^p norm underflows to 0
+    (["study", "--levels", "2", "--p", "1e6"], "initial guess: L^p norm 0.000e+00 at p = 1e+06"),
+], ids=["overflow", "underflow"])
+@pytest.mark.filterwarnings("error")
+def test_large_exponent_fails_with_one_line(tmp_path, capsys, args, message):
+    assert main([*args, "--out-dir", str(tmp_path)]) == EXIT_NUMERICAL
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if not line.startswith("solving level")]
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: " + message)
 
 
 @pytest.mark.parametrize("max_iters", ["12", "1"])

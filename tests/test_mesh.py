@@ -15,6 +15,7 @@ from laneemden.assembly import assemble_stiffness, restrict_interior
 from laneemden.errors import ConfigError, DimensionError, MeshError
 from laneemden.mesh import (
     Mesh,
+    _edges,
     _longest_edge,
     build_unit_square,
     mesh_from_tokens,
@@ -577,3 +578,55 @@ def test_edge_table_shared_by_refinement_and_pattern(monkeypatch, hexagon_text):
     for a in (edges, tri_edges, counts):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def _whole_array_edges(triangles, nv):
+    """The whole-array ``_edges`` that the in-place one replaced, kept as
+    the bit reference."""
+    ends = np.roll(triangles, -1, axis=1)
+    keys = (np.minimum(triangles, ends) * nv + np.maximum(triangles, ends)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    tri_edges = np.empty(keys.size, dtype=np.int32)
+    tri_edges[order] = np.cumsum(first, dtype=np.int32) - 1
+    starts = np.flatnonzero(first)
+    keys = keys[starts]
+    edges = np.empty((keys.size, 2), dtype=np.int32)
+    edges[:, 0], edges[:, 1] = np.divmod(keys, nv)
+    return edges, tri_edges.reshape(triangles.shape), np.diff(starts, append=first.size)
+
+
+def _edge_inputs(hexagon_text):
+    for level in range(7):
+        m = build_unit_square(level)
+        yield m.triangles, m.n_vertices
+    m = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(6):
+        yield m.triangles, m.n_vertices
+        m = refine_uniform(m)
+    yield np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]), 5  # edge (0,1) under 3 triangles
+    yield np.array([[0, 1, 2], [0, 1, 2]]), 3             # a duplicated triangle
+    yield np.array([[0, 1, 2], [2, 1, 3]]), 5             # vertex 4 is in no triangle
+
+
+def test_edges_match_whole_array_reference(hexagon_text):
+    for triangles, nv in _edge_inputs(hexagon_text):
+        for got, want in zip(_edges(triangles, nv), _whole_array_edges(triangles, nv)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_overflow_reported_before_a_non_positive_area_in_an_earlier_block(monkeypatch, block):
+    # triangle 0 is clockwise; the squared length of edge 1-3 in triangle 3 overflows
+    monkeypatch.setattr(mesh_module, "GEOMETRY_BLOCK", block)
+    text = ("6 4\n0 0 1\n1 0 1\n0 1 1\n1.7976931348623157e308 0 1\n1 1 1\n2 2 1\n"
+            "0 2 1\n1 4 2\n2 4 5\n1 3 4\n")
+    with pytest.raises(MeshError, match="edge lengths or triangle areas overflow"):
+        mesh_from_tokens(text.split())
+    flipped = text.replace("1.7976931348623157e308", "3")  # no overflow left
+    with pytest.raises(MeshError, match="non-positive triangle area"):
+        mesh_from_tokens(flipped.split())
