@@ -349,10 +349,11 @@ def test_import_solution_peak_memory_with_blocked_validation(refined_solution):
 
 
 def test_validate_mesh_peak_memory(refined_solution):
-    # The whole-mesh pass and edge keys took 3.03 times the mesh's bytes.
+    # The whole-mesh pass and edge keys took 3.03 times the mesh's bytes, and
+    # edge keys formed by whole-array expressions alone take 2.36 times.
     mesh, field, _, nbytes = refined_solution
     fresh = dataclasses.replace(mesh)  # h is not cached on it
-    assert _traced_peak(validate_mesh, fresh) <= 2.5 * (nbytes - field.nbytes)
+    assert _traced_peak(validate_mesh, fresh) <= 2.2 * (nbytes - field.nbytes)
 
 
 def test_export_solution_peak_memory(refined_solution, tmp_path):

@@ -627,6 +627,6 @@ def test_overflow_reported_before_a_non_positive_area_in_an_earlier_block(monkey
             "0 2 1\n1 4 2\n2 4 5\n1 3 4\n")
     with pytest.raises(MeshError, match="edge lengths or triangle areas overflow"):
         mesh_from_tokens(text.split())
-    flipped = text.replace("1.7976931348623157e308", "3")  # no overflow left
+    finite = text.replace("1.7976931348623157e308", "3")  # no overflow left
     with pytest.raises(MeshError, match="non-positive triangle area"):
-        mesh_from_tokens(flipped.split())
+        mesh_from_tokens(finite.split())
