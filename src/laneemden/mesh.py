@@ -33,8 +33,9 @@ MIN_AREA = 1e-14
 # The text format is read in chunks of READ_CHUNK bytes and written in
 # blocks of WRITE_ROWS rows, so that neither direction holds a token list or
 # a text of the whole file: one Python str or int per number takes about
-# 60 B, against 8 B in the arrays.  A 64 KiB chunk's tokens take about
-# 0.4 MB; reading was no slower than with 1 MiB chunks.
+# 60 B, against 8 B in the arrays.  A 64 KiB chunk's tokens take at most
+# about 0.7 MB (short integer tokens); reading was no slower than with 1 MiB
+# chunks.
 READ_CHUNK = 1 << 16
 WRITE_ROWS = 1 << 14
 # Triangle areas and edge lengths are computed GEOMETRY_BLOCK triangles at a
@@ -221,8 +222,8 @@ def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
     blocks of GEOMETRY_BLOCK triangles, squared and summed in place.
 
     The maximum of the blocks' maxima is the maximum of all squared lengths,
-    so the bits are those of one whole-mesh pass; ``np.maximum`` carries a
-    NaN through, and an overflowing length gives inf.
+    so the bits are those of one whole-mesh pass, inf included when a length
+    overflows, and ``np.maximum`` carries a NaN through.
     """
     x, y = vertices[:, 0], vertices[:, 1]
     longest = 0.0  # a square is never below it, and a NaN is never dropped

@@ -457,6 +457,32 @@ def test_longest_edge_matches_gathered_formula(hexagon_text, theta):
     assert mesh.h == _gathered_longest_edge(mesh.vertices, mesh.triangles)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_blocked_geometry_matches_whole_mesh_formulas(monkeypatch, hexagon_text, theta):
+    mesh = mesh_from_tokens(hexagon_text(theta).split())
+    for _ in range(3):
+        mesh = refine_uniform(mesh)  # 384 triangles: 55 blocks of 7, the last short
+    monkeypatch.setattr(mesh_module, "GEOMETRY_BLOCK", 7)
+    assert mesh.h == _gathered_longest_edge(mesh.vertices, mesh.triangles)
+    assert triangle_areas(mesh).tobytes() == mesh.geometry[0].tobytes()
+
+
+@pytest.mark.parametrize("triangles", [
+    [[0, 1, 2], [2, 3, 4], [1, 3, 2]],  # the NaN edge (inf - inf) in the middle block
+    [[2, 3, 4], [0, 1, 2], [1, 3, 2]],  # in the first block
+], ids=["middle", "first"])
+def test_blocked_longest_edge_keeps_a_nan(monkeypatch, triangles):
+    monkeypatch.setattr(mesh_module, "GEOMETRY_BLOCK", 1)
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.inf, 0.0], [np.inf, 1.0]])
+    triangles = np.array(triangles, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _longest_edge(vertices, triangles)
+        want = _gathered_longest_edge(vertices, triangles)
+    # numpy's max returns a NaN whose sign bit depends on its code path, so a
+    # NaN is compared as a NaN, not bit for bit.
+    assert np.isnan(got) and np.isnan(want)
+
+
 def test_prolongate_near_the_largest_double_is_finite_and_exact():
     # halving first cannot overflow: the average of MAX and MAX is MAX, not inf
     coarse = build_unit_square(2)
