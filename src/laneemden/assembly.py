@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DimensionError
-from .mesh import Mesh
+from .mesh import Mesh, basis_gradients, geometry_blocks
 
 MAX_QUAD_DEGREE = 20
 # Triangles per block of the quadrature kernels.  On the unit square at
@@ -132,7 +132,7 @@ def triangle_integrals(mesh: Mesh, table: np.ndarray, values) -> np.ndarray:
     slice s.  The triangles go in blocks of QUAD_BLOCK (the last may be
     short), each evaluated and reduced before the next is gathered.
     """
-    area = mesh.geometry[0]
+    area = mesh.areas
     out = np.empty((table.shape[0], mesh.n_triangles))
     for start in range(0, mesh.n_triangles, QUAD_BLOCK):
         s = slice(start, start + QUAD_BLOCK)
@@ -195,17 +195,25 @@ def _scatter(mesh: Mesh, blocks) -> sp.csr_matrix:
 
 
 def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j)."""
-    area, grads = mesh.geometry
-    gx = grads[:, :, 0].T   # (3, nt)
-    gy = grads[:, :, 1].T
-    return _scatter(mesh, ((i, j, (gx[i] * gx[j] + gy[i] * gy[j]) * area)
-                           for i, j in _UPPER))
+    """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j).
+
+    The closed-form entries of each corner pair are formed from the basis
+    gradients of GEOMETRY_BLOCK triangles at a time, which are not kept,
+    and summed on the pattern pair by pair, in the order of a whole-mesh
+    pass.
+    """
+    area = mesh.areas
+    local = np.empty((len(_UPPER), mesh.n_triangles))
+    for s in geometry_blocks(mesh.n_triangles):
+        gx, gy = basis_gradients(mesh, s)
+        for k, (i, j) in enumerate(_UPPER):
+            np.multiply(gx[i] * gx[j] + gy[i] * gy[j], area[s], out=local[k, s])
+    return _scatter(mesh, ((i, j, b) for (i, j), b in zip(_UPPER, local)))
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent mass matrix; local block (area/12) [[2,1,1],[1,2,1],[1,1,2]]."""
-    area, _ = mesh.geometry
+    area = mesh.areas
     return _scatter(mesh, ((i, j, (2.0 if i == j else 1.0) / 12.0 * area)
                            for i, j in _UPPER))
 

@@ -172,7 +172,7 @@ def _run(args) -> int:
                   f"{sol.fixed_point_residual:.3e}, above the gap precondition "
                   f"{RESIDUAL_PRECONDITION}", file=sys.stderr)
         if not sol.converged:
-            print("warning: iteration did not stagnate; best iterate exported",
+            print("warning: iteration did not stagnate; last iterate exported",
                   file=sys.stderr)
             return EXIT_NUMERICAL
         return EXIT_OK

@@ -44,7 +44,7 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
             f"for a meaningful gap (need <= {RESIDUAL_PRECONDITION})"
         )
     W = assembly.assemble_weighted_mass(mesh, solution.field, p - 2.0, quad_degree)
-    B = assembly.restrict_interior(mesh.stiffness, mesh)
+    B = mesh.interior_stiffness
     A = B - (p - 1.0) * assembly.restrict_interior(W, mesh)
     c = solution.field[mesh.interior]
     if not np.any(c):

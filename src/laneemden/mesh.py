@@ -77,56 +77,44 @@ class Mesh:
 
     @cached_property
     def h(self) -> float:
-        """Longest edge length, cached like ``geometry``.  Overflowing
+        """Longest edge length, cached like ``areas``.  Overflowing
         coordinates give inf or NaN, which ``validate_mesh`` rejects."""
         return _longest_edge(self.vertices, self.triangles)
 
     @cached_property
     def parent_nv(self) -> int:
         """Vertex count of the parent mesh, the number of inherited
-        vertices (0 for a root mesh); cached like ``geometry``."""
+        vertices (0 for a root mesh); cached like ``areas``."""
         a, b = self.parents.T
         return int(np.count_nonzero((a == b) & (a >= 0)))
 
     @cached_property
     def interior(self) -> np.ndarray:
         """Indices of interior (non-boundary) vertices, read-only and cached
-        like ``geometry``."""
+        like ``areas``."""
         idx = np.flatnonzero(~self.is_boundary)
         idx.flags.writeable = False
         return idx
 
     @cached_property
-    def geometry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-triangle areas (nt,) and P1 basis gradients (nt, 3, 2).
+    def areas(self) -> np.ndarray:
+        """Per-triangle areas (nt,), from ``triangle_areas``.
 
-        Computed on first use and kept on the instance, so every assembly
-        and quadrature call on this mesh shares one read-only copy.  The
-        mesh is immutable, which is what makes the cache valid.  Raises
-        MeshError on a degenerate triangle.
+        Computed on first use and kept on the instance, read-only, so every
+        assembly and quadrature call on this mesh shares one copy.  The mesh
+        is immutable, which is what makes the cache valid.  Raises MeshError
+        on a degenerate triangle.
         """
-        p = self.vertices
-        t = self.triangles
-        e1 = p[t[:, 1]] - p[t[:, 0]]
-        e2 = p[t[:, 2]] - p[t[:, 0]]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        area = 0.5 * det
+        area = triangle_areas(self)
         if np.any(area < MIN_AREA):
             raise MeshError(f"degenerate triangle (min area {area.min():.3e})")
-        grads = np.empty((t.shape[0], 3, 2))
-        grads[:, 1, 0] = e2[:, 1] / det
-        grads[:, 1, 1] = -e2[:, 0] / det
-        grads[:, 2, 0] = -e1[:, 1] / det
-        grads[:, 2, 1] = e1[:, 0] / det
-        grads[:, 0] = -grads[:, 1] - grads[:, 2]
         area.flags.writeable = False
-        grads.flags.writeable = False
-        return area, grads
+        return area
 
     @cached_property
     def corners(self) -> np.ndarray:
         """Vertex indices corner-major: the contiguous (3, nt) transpose of
-        ``triangles``, read-only and cached like ``geometry``.
+        ``triangles``, read-only and cached like ``areas``.
 
         Gathering nodal values through it gives (3, nt) arrays whose rows
         are contiguous, which is the layout of every quadrature kernel.
@@ -134,16 +122,6 @@ class Mesh:
         c = self.triangles.T.copy()
         c.flags.writeable = False
         return c
-
-    @cached_property
-    def edge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_edges`` of this mesh, read-only and cached like ``geometry``, so
-        that ``refine_uniform`` and ``pattern`` share one sort of its edges.
-        ``validate_mesh`` builds its own table and does not keep it."""
-        table = _edges(self.triangles, self.n_vertices)
-        for a in table:
-            a.flags.writeable = False
-        return table
 
     @cached_property
     def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,10 +132,11 @@ class Mesh:
 
         Row r holds (r, lo) for the edges with hi == r, then (r, r), then
         (r, hi) for the edges with lo == r; the columns are sorted because
-        the edge table is sorted by (lo, hi).
+        the edge table is sorted by (lo, hi).  The edge table is built here
+        and not kept.
         """
         nv = self.n_vertices
-        edges, tri_edges, _ = self.edge_table
+        edges, tri_edges = _edges(self.triangles, nv)[:2]
         ne = edges.shape[0]
         lo, hi = edges.T
         below = np.bincount(hi, minlength=nv)  # entries left of the diagonal
@@ -193,15 +172,24 @@ class Mesh:
         return indptr, indices, slots
 
     @cached_property
-    def stiffness(self):
-        """Assembled P1 stiffness (scipy CSR, read-only arrays), cached like
-        ``geometry`` so that the descent, errors and gap share one copy."""
-        from .assembly import assemble_stiffness  # assembly imports this module
+    def interior_stiffness(self):
+        """The P1 stiffness on the interior vertices, K_int (scipy CSR,
+        read-only arrays), cached like ``areas``: the one operator that the
+        descent factors and multiplies, the gap takes as B, and the errors,
+        the Poisson check and ``rayleigh_quotient`` read.  The full K is
+        assembled, restricted and dropped."""
+        from .assembly import assemble_stiffness, restrict_interior  # they import this module
 
-        K = assemble_stiffness(self)
+        K = restrict_interior(assemble_stiffness(self), self)
         for a in (K.data, K.indices, K.indptr):
             a.flags.writeable = False
         return K
+
+
+def geometry_blocks(n_triangles: int):
+    """Consecutive slices of GEOMETRY_BLOCK triangles, the last maybe short."""
+    return (slice(start, start + GEOMETRY_BLOCK)
+            for start in range(0, n_triangles, GEOMETRY_BLOCK))
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
@@ -209,12 +197,32 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
     GEOMETRY_BLOCK triangles at a time: only the (nt,) result is whole."""
     p = mesh.vertices
     areas = np.empty(mesh.n_triangles)
-    for start in range(0, mesh.n_triangles, GEOMETRY_BLOCK):
-        t = mesh.triangles[start:start + GEOMETRY_BLOCK]
+    for s in geometry_blocks(mesh.n_triangles):
+        t = mesh.triangles[s]
         e1 = p[t[:, 1]] - p[t[:, 0]]
         e2 = p[t[:, 2]] - p[t[:, 0]]
-        areas[start:start + t.shape[0]] = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+        areas[s] = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     return areas
+
+
+def basis_gradients(mesh: Mesh, block: slice) -> np.ndarray:
+    """P1 basis gradients of the triangles of ``block``, corner-major:
+    (2, 3, b), entry [d, k, t] the d-th component of the gradient of
+    corner k's basis function on triangle t.  Callers form them a block
+    at a time and keep none; each column takes the same operations on any
+    block."""
+    p = mesh.vertices
+    t = mesh.triangles[block]
+    e1 = p[t[:, 1]] - p[t[:, 0]]
+    e2 = p[t[:, 2]] - p[t[:, 0]]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    g = np.empty((2, 3, t.shape[0]))
+    g[0, 1] = e2[:, 1] / det
+    g[1, 1] = -e2[:, 0] / det
+    g[0, 2] = -e1[:, 1] / det
+    g[1, 2] = e1[:, 0] / det
+    g[:, 0] = -g[:, 1] - g[:, 2]
+    return g
 
 
 def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
@@ -227,8 +235,8 @@ def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
     """
     x, y = vertices[:, 0], vertices[:, 1]
     longest = 0.0  # a square is never below it, and a NaN is never dropped
-    for start in range(0, triangles.shape[0], GEOMETRY_BLOCK):
-        a = triangles[start:start + GEOMETRY_BLOCK].T
+    for s in geometry_blocks(triangles.shape[0]):
+        a = triangles[s].T
         b = np.roll(a, -1, axis=0)  # second endpoints of edges 01, 12, 20
         dx = x[a]
         dx -= x[b]
@@ -273,6 +281,33 @@ def build_unit_square(level: int) -> Mesh:
     )
 
 
+def _edge_keys(triangles: np.ndarray, nv: int) -> np.ndarray:
+    """Keys ``low * nv + high`` of the 3 nt half-edges 01, 12, 20 of each
+    triangle, (3 nt,) int64 in triangle order, formed in place: the low ends
+    in a new array, the high ends in the roll's buffer."""
+    ends = np.roll(triangles, -1, axis=1)  # second endpoints of 01, 12, 20
+    keys = np.minimum(triangles, ends)
+    np.maximum(triangles, ends, out=ends)
+    keys *= nv
+    keys += ends
+    return keys.ravel()
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys that start a run of equal keys, in sorted keys."""
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _edge_ends(keys: np.ndarray, nv: int) -> np.ndarray:
+    """Endpoints (ne, 2) int32, low then high, of the unique edge keys."""
+    edges = np.empty((keys.size, 2), dtype=np.int32)
+    edges[:, 0], edges[:, 1] = np.divmod(keys, nv)
+    return edges
+
+
 def _edges(triangles: np.ndarray, nv: int):
     """Edge table of a triangulation with nv vertices.
 
@@ -283,26 +318,17 @@ def _edges(triangles: np.ndarray, nv: int):
     on a stable argsort: the keys of a sorted triangle list come in sorted
     runs, which it sorts faster than ``np.unique``'s quicksort.
 
-    The keys ``low * nv + high`` of the 3 nt half-edges are formed in place
-    (the low ends in a new array, the high ends in the roll's buffer), and
-    each array is dropped once the next step no longer needs it: the unique
+    Each array is dropped once the next step no longer needs it: the unique
     keys are taken before the triangles' indices are made, and the
     endpoints are split from them last.  On the hexagon refined 7 times the
     traced peak is 1.85 times the mesh's arrays, against 3.03 with
-    whole-array expressions.
+    whole-array expressions.  ``refine_uniform`` and ``Mesh.pattern`` each
+    build the table and keep none of it.
     """
-    ends = np.roll(triangles, -1, axis=1)  # second endpoints of 01, 12, 20
-    keys = np.minimum(triangles, ends)
-    np.maximum(triangles, ends, out=ends)
-    keys *= nv
-    keys += ends
-    del ends
-    keys = keys.ravel()
+    keys = _edge_keys(triangles, nv)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.empty(keys.size, dtype=bool)  # first of its run of equal keys
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = _run_starts(keys)
     starts = np.flatnonzero(first)
     keys = keys[starts]
     counts = np.diff(starts, append=first.size)
@@ -312,9 +338,20 @@ def _edges(triangles: np.ndarray, nv: int):
     tri_edges = np.empty(runs.size, dtype=np.int32)
     tri_edges[order] = runs
     del order, runs
-    edges = np.empty((keys.size, 2), dtype=np.int32)
-    edges[:, 0], edges[:, 1] = np.divmod(keys, nv)
-    return edges, tri_edges.reshape(triangles.shape), counts
+    return _edge_ends(keys, nv), tri_edges.reshape(triangles.shape), counts
+
+
+def _edge_counts(triangles: np.ndarray, nv: int):
+    """The edges and counts of ``_edges``, bit for bit, without the
+    triangles' indices into them: the keys are sorted in place, so there is
+    no argsort and no (nt, 3) index array."""
+    keys = _edge_keys(triangles, nv)
+    keys.sort()
+    starts = np.flatnonzero(_run_starts(keys))
+    counts = np.diff(starts, append=keys.size)
+    keys = keys[starts]
+    del starts
+    return _edge_ends(keys, nv), counts
 
 
 def refine_uniform(coarse: Mesh) -> Mesh:
@@ -326,7 +363,7 @@ def refine_uniform(coarse: Mesh) -> Mesh:
     ``build_unit_square(level + 1)``.
     """
     nvc = coarse.n_vertices
-    edges, tri_edges, counts = coarse.edge_table
+    edges, tri_edges, counts = _edges(coarse.triangles, nvc)
     p = coarse.vertices
     # Halving first cannot overflow and, above the subnormals, gives the same bits.
     vertices = np.vstack([p, 0.5 * p[edges[:, 0]] + 0.5 * p[edges[:, 1]]])
@@ -388,8 +425,10 @@ def validate_mesh(mesh: Mesh) -> None:
     The areas and the longest edge (``Mesh.h``) are gathered GEOMETRY_BLOCK
     triangles at a time, and every area is known before any is judged, so
     an overflow anywhere is reported before a non-positive area anywhere.
-    The edge table is built after the areas are dropped; it sets the peak,
-    which on the hexagon refined 7 times is 1.85 times the mesh's arrays.
+    The edges and their counts (``_edge_counts``, keys sorted in place) are
+    taken after the areas are dropped; they set the peak, which on the
+    hexagon refined 7 times is 1.48 times the mesh's arrays (1.85 with the
+    full edge table of ``_edges``).
     """
     if not np.all(np.isfinite(mesh.vertices)):
         raise MeshError("non-finite vertex coordinates")
@@ -401,9 +440,9 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("edge lengths or triangle areas overflow")
     if np.any(areas <= 0):
         raise MeshError("non-positive triangle area")
-    del areas  # before the edge table, where this function peaks in memory
+    del areas  # before the edge counts, where this function peaks in memory
 
-    edges, _, counts = _edges(mesh.triangles, mesh.n_vertices)
+    edges, counts = _edge_counts(mesh.triangles, mesh.n_vertices)
     on_boundary = mesh.is_boundary[edges].all(axis=1)
     bad = np.flatnonzero((counts != 2) & ~((counts == 1) & on_boundary))
     if bad.size:

@@ -89,12 +89,23 @@ def initial_guess(mesh: Mesh, p: float, quad_degree: int = 5) -> np.ndarray:
 
 
 def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5) -> float:
-    """|grad u|_L2 / |u|_Lp for the P1 field u."""
+    """|grad u|_L2 / |u|_Lp for the P1 field with u's interior values.
+
+    Like ``solve_extremal`` with its ``u0``, it reads only the interior
+    values of u and takes the field to vanish on the boundary; the energy
+    is x' K_int x on the interior stiffness.  A non-finite entry of u
+    raises NumericsError, and a field that is zero on the interior
+    ValueError.
+    """
     u = np.asarray(u, dtype=np.float64)
-    if not np.any(u):
+    x = assembly.restrict_interior(u, mesh)
+    bad = np.flatnonzero(~np.isfinite(u))
+    if bad.size:
+        raise NumericsError(f"Rayleigh quotient: non-finite entry u[{bad[0]}] = {u[bad[0]]}")
+    if not np.any(x):
         raise ValueError("Rayleigh quotient undefined for the zero field")
-    energy = assembly.inner(u, mesh.stiffness @ u)
-    return np.sqrt(energy) / assembly.lp_norm(mesh, u, p, quad_degree)
+    energy = assembly.inner(x, mesh.interior_stiffness @ x)
+    return np.sqrt(energy) / assembly.lp_norm(mesh, assembly.extend_zero(x, mesh), p, quad_degree)
 
 
 def solve_extremal(mesh: Mesh, config: MinimizerConfig,
@@ -104,16 +115,18 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     Stops when the relative quotient change drops below quotient_tol and
     the Euler-Lagrange residual is below residual_tol (or after exactly
     iters_fixed steps in paper-protocol mode, which max_iters does not
-    cap).  Returns the best iterate flagged unconverged if max_iters is
-    exhausted.
+    cap).  Returns the last iterate, flagged unconverged, if max_iters is
+    exhausted: Anderson mixing does not lower the quotient monotonically,
+    so it need not be the best one.
 
     The iterate is x, the interior values of a unit-norm field; the
     boundary values of u0 are ignored, so the returned fields vanish on the
     boundary.  A descent step maps x to g = x - eta (x - energy K^-1 F(x))
-    on the interior stiffness K, factored once.  The gradient is evaluated
-    on the multiplier-1 rescaling s x of the iterate (s^(p-2) = x'Kx when
-    |x|_p = 1), which keeps the inverse-Laplacian term on the same scale as
-    x; in unit-norm variables this multiplies K^-1 F by the current energy.
+    on the interior stiffness K (``Mesh.interior_stiffness``), factored
+    once.  The gradient is evaluated on the multiplier-1 rescaling s x of
+    the iterate (s^(p-2) = x'Kx when |x|_p = 1), which keeps the
+    inverse-Laplacian term on the same scale as x; in unit-norm variables
+    this multiplies K^-1 F by the current energy.
     Stepping on the raw unit-norm iterate contracts only at a rate
     ~ eta / energy and cannot finish in the published iteration budget.
 
@@ -131,7 +144,8 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     if u0 is None:
         u0 = initial_guess(mesh, p, config.quad_degree)
     x = assembly.restrict_interior(u0, mesh)
-    solve = factor(assembly.restrict_interior(mesh.stiffness, mesh)).solve
+    K = mesh.interior_stiffness
+    solve = factor(K).solve
 
     def evaluate(v: np.ndarray):
         """Unit-norm rescaling x of v, its energy x'Kx, load F(x) and fixed-point residual.
@@ -151,7 +165,7 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
         norm = total ** (1.0 / p)
         x = v / norm
         F = Fv / norm ** (p - 1.0)
-        Kx = (mesh.stiffness @ u)[idx] / norm
+        Kx = (K @ v) / norm
         energy = assembly.inner(x, Kx)
         # With |x|_p = 1 the multiplier-1 scale s satisfies s^(p-2) = energy,
         # and the scaled residual reduces to |Kx - energy F| / (energy |F|).

@@ -22,7 +22,7 @@ class CgReport:
 
 
 class CgFailure(NumericsError):
-    """CG did not reach the target residual; carries the report and best iterate."""
+    """CG did not reach the target residual; carries the report and last iterate."""
 
     def __init__(self, report: CgReport, x: np.ndarray):
         super().__init__(
@@ -54,7 +54,7 @@ def cg_solve(
     in the 2-norm, whenever the diagonal is constant, as on the unit-square
     meshes here); callback receives it before the first and after every
     step.  A is anything with shape, ``@`` and ``diagonal()``.  Returns
-    (x, CgReport); raises CgFailure on non-convergence (the report and best
+    (x, CgReport); raises CgFailure on non-convergence (the report and last
     iterate are attached) and NumericsError on NaN or indefiniteness.
     """
     n = _order(A)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import assembly, diagnostics
 from .errors import ConfigError, DimensionError
-from .mesh import Mesh, build_unit_square, prolongate, refine_uniform
+from .mesh import Mesh, basis_gradients, build_unit_square, prolongate, refine_uniform
 from .minimizer import MinimizerConfig, solve_extremal
 from .sparse import factor
 
@@ -44,15 +44,20 @@ def observed_rate(err_prev: float, err_curr: float) -> Optional[float]:
 
 def inter_level_error(coarse_field: np.ndarray, fine_field: np.ndarray,
                       fine_mesh: Mesh):
-    """(L2, H1-seminorm) distance between a coarse field and its refinement's."""
+    """(L2, H1-seminorm) distance between a coarse field and its refinement's.
+
+    The H1 seminorm reads the difference's interior values, on
+    ``Mesh.interior_stiffness``: the fields of ``solve_extremal`` vanish on
+    the boundary, and so does their difference.
+    """
     fine_field = np.asarray(fine_field, dtype=np.float64)
     if fine_field.shape != (fine_mesh.n_vertices,):
         raise DimensionError("fine field does not match fine mesh")
     d = prolongate(coarse_field, fine_mesh) - fine_field
     M = assembly.assemble_mass(fine_mesh)
-    K = fine_mesh.stiffness
     l2 = math.sqrt(max(assembly.inner(d, M @ d), 0.0))
-    h1 = math.sqrt(max(assembly.inner(d, K @ d), 0.0))
+    d = d[fine_mesh.interior]
+    h1 = math.sqrt(max(assembly.inner(d, fine_mesh.interior_stiffness @ d), 0.0))
     return l2, h1
 
 
@@ -161,9 +166,8 @@ def _exact_grad(x, y):
 
 def _poisson_solve(mesh: Mesh, f) -> np.ndarray:
     """The Dirichlet solve of -Laplace u = f, with the descent's ``factor``."""
-    K_int = assembly.restrict_interior(mesh.stiffness, mesh)
     b = assembly.load_vector(mesh, f, degree=8)
-    return assembly.extend_zero(factor(K_int).solve(b[mesh.interior]), mesh)
+    return assembly.extend_zero(factor(mesh.interior_stiffness).solve(b[mesh.interior]), mesh)
 
 
 def _error_vs_exact(mesh: Mesh, u: np.ndarray, degree: int = 8):
@@ -173,7 +177,7 @@ def _error_vs_exact(mesh: Mesh, u: np.ndarray, degree: int = 8):
     def squared_errors(s):
         """Squared value errors stacked on squared gradient errors, (2 nq, b)."""
         x, y = (assembly.point_values(mesh, c, rule, s) for c in mesh.vertices.T)
-        gu = np.einsum("kt,tkd->dt", u[mesh.corners[:, s]], mesh.geometry[1][s])  # per triangle
+        gu = np.einsum("kt,dkt->dt", u[mesh.corners[:, s]], basis_gradients(mesh, s))  # per triangle
         gx, gy = _exact_grad(x, y)
         return np.vstack([(assembly.point_values(mesh, u, rule, s) - _exact(x, y)) ** 2,
                           (gu[0] - gx) ** 2 + (gu[1] - gy) ** 2])

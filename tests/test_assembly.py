@@ -19,7 +19,14 @@ from laneemden.assembly import (
     triangle_rule,
 )
 from laneemden.errors import ConfigError, DimensionError, MeshError
-from laneemden.mesh import Mesh, build_unit_square, mesh_from_tokens, refine_uniform
+from laneemden import mesh as mesh_module
+from laneemden.mesh import (
+    Mesh,
+    basis_gradients,
+    build_unit_square,
+    mesh_from_tokens,
+    refine_uniform,
+)
 
 
 def test_local_stiffness_reference_triangle(reference_triangle):
@@ -252,22 +259,38 @@ def test_load_dot_field_is_lp_norm_power(kind, degree, p):
 
 def test_geometry_cached_read_only():
     m = build_unit_square(2)
-    area, grads = m.geometry
-    assert m.geometry[0] is area and m.geometry[1] is grads
-    for arr in (area, grads):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+    area = m.areas
+    assert m.areas is area
+    with pytest.raises(ValueError):
+        area[0] = 0.0
 
 
-def test_stiffness_cached_read_only():
-    m = build_unit_square(3)
-    K = m.stiffness
-    assert m.stiffness is K
-    fresh = assemble_stiffness(m)
+def test_stiffness_cached_read_only(hexagon_text):
+    hexagon = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(4):
+        hexagon = refine_uniform(hexagon)
+    for m in (build_unit_square(3), build_unit_square(7), hexagon):
+        K = m.interior_stiffness
+        assert m.interior_stiffness is K
+        fresh = restrict_interior(assemble_stiffness(m), m)
+        assert K.shape == fresh.shape == (m.interior.size,) * 2
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(K, name), getattr(fresh, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0
+
+
+def test_blocked_stiffness_is_bit_identical_to_whole_mesh(monkeypatch, hexagon_text):
+    # 384 triangles: blocks of 7 cut every corner pair's run of triangles
+    m = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(3):
+        m = refine_uniform(m)
+    whole = assemble_stiffness(m)
+    monkeypatch.setattr(mesh_module, "GEOMETRY_BLOCK", 7)
+    blocked = assemble_stiffness(m)
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(K, name), getattr(fresh, name))
-        with pytest.raises(ValueError):
-            getattr(K, name)[0] = 0
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
 
 
 def test_corners_cached_read_only():
@@ -287,7 +310,7 @@ def _tm_point_values(mesh, u, rule):
 
 
 def _tm_vector(mesh, rule, fq):
-    area, _ = mesh.geometry
+    area = mesh.areas
     local = area[:, None] * ((rule.weights * fq) @ rule.points)
     return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
                        minlength=mesh.n_vertices)
@@ -310,21 +333,21 @@ def _tm_load(mesh, u, p, degree):
 
 def _tm_lp_norm(mesh, u, p, degree):
     rule = triangle_rule(degree)
-    area, _ = mesh.geometry
+    area = mesh.areas
     uq = _tm_point_values(mesh, u, rule)
     return float(area @ (np.abs(uq) ** p @ rule.weights)) ** (1.0 / p)
 
 
 def _tm_weighted_mass(mesh, w, exponent, degree):
     rule = triangle_rule(degree)
-    area, _ = mesh.geometry
+    area = mesh.areas
     lam = rule.points
     fac = rule.weights * np.abs(_tm_point_values(mesh, w, rule)) ** exponent
     return _tm_matrix(mesh, area[:, None, None] * np.einsum("tq,qi,qj->tij", fac, lam, lam))
 
 
 def _tm_stiffness(mesh):
-    area, grads = mesh.geometry
+    area, grads = mesh.areas, basis_gradients(mesh, slice(None)).transpose(2, 1, 0)
     return _tm_matrix(mesh, area[:, None, None] * np.einsum("tid,tjd->tij", grads, grads))
 
 
@@ -376,15 +399,16 @@ def test_closed_form_stiffness_matches_einsum(kernel_mesh):
 
 
 def test_mass_matches_coo_oracle(kernel_mesh):
-    area, _ = kernel_mesh.geometry
+    area = kernel_mesh.areas
     block = (np.ones((3, 3)) + np.eye(3)) / 12.0
     assert _rel(assemble_mass(kernel_mesh),
                 _tm_matrix(kernel_mesh, area[:, None, None] * block)) <= 1e-15
 
 
 def test_stiffness_assembly_peak_memory():
-    # Edge table, pattern and geometry included, the call peaks near 7.5
-    # times the bytes of K; COO triples and tocsr take about 18 times.
+    # Pattern (its edge table included), areas and the (6, nt) entries
+    # included, the call peaks near 7.1 times the bytes of K; COO triples
+    # and tocsr take about 18 times.
     m = refine_uniform(build_unit_square(6))
     tracemalloc.start()
     try:
@@ -445,7 +469,7 @@ def test_block_load_is_bit_identical_to_whole_mesh(blocked_mesh):
     uq = rule.points @ u[m.corners]
     fq = assembly._power(np.abs(uq), 9.0) * uq
     local = (rule.points.T * rule.weights) @ fq
-    local *= m.geometry[0]
+    local *= m.areas
     whole = np.bincount(m.corners.ravel(), weights=local.ravel(), minlength=m.n_vertices)
     assert np.array_equal(nonlinear_load(m, u, 11.0), whole)
 
@@ -469,7 +493,7 @@ def test_nonlinear_load_peak_memory():
     # took 34 times.
     m = build_unit_square(8)
     u = np.random.default_rng(7).standard_normal(m.n_vertices)
-    F = nonlinear_load(m, u, 11.0)   # geometry and corners are cached here
+    F = nonlinear_load(m, u, 11.0)   # areas and corners are cached here
     tracemalloc.start()
     try:
         nonlinear_load(m, u, 11.0)

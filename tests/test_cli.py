@@ -28,6 +28,7 @@ from laneemden.mesh import (
     validate_mesh,
     write_mesh,
 )
+from laneemden.minimizer import MinimizerConfig, solve_extremal
 
 # Any text, plus integer and float literals, which arbitrary text rarely hits.
 TOKENS = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr))
@@ -140,6 +141,23 @@ def test_solve_unconverged_exit_code(tmp_path):
     code = main(["solve", "--p", "4", "--level", "3", "--max-iters", "2",
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_NUMERICAL
+
+
+def test_solve_unconverged_warns_of_the_last_iterate(tmp_path, capsys):
+    # Anderson mixing does not lower the quotient monotonically: at L4 the
+    # sixth step's iterate has a higher c_h than the fifth's, and it is the
+    # sixth that is exported
+    code = main(["solve", "--p", "4", "--level", "4", "--max-iters", "6",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.err == "warning: iteration did not stagnate; last iterate exported\n"
+    c_h = float(re.search(r"c_h (\S+)", captured.out).group(1))
+    mesh = build_unit_square(4)
+    last, before = (solve_extremal(mesh, MinimizerConfig(p=4.0, max_iters=k)) for k in (6, 5))
+    assert c_h == pytest.approx(last.c_h, abs=1e-10) and last.c_h > before.c_h + 0.01
+    _, field = import_solution(next(tmp_path.glob("solution_*.txt")))
+    assert np.array_equal(field, last.field)
 
 
 @pytest.mark.parametrize("flags, stop", [([], "stagnated"),
@@ -349,11 +367,13 @@ def test_import_solution_peak_memory_with_blocked_validation(refined_solution):
 
 
 def test_validate_mesh_peak_memory(refined_solution):
-    # The whole-mesh pass and edge keys took 3.03 times the mesh's bytes, and
-    # edge keys formed by whole-array expressions alone take 2.36 times.
+    # The whole-mesh pass and edge keys took 3.03 times the mesh's bytes,
+    # edge keys formed by whole-array expressions alone 2.36 times, and the
+    # full edge table with its argsort 1.85 times; the counts from keys
+    # sorted in place take 1.48 times.
     mesh, field, _, nbytes = refined_solution
     fresh = dataclasses.replace(mesh)  # h is not cached on it
-    assert _traced_peak(validate_mesh, fresh) <= 2.2 * (nbytes - field.nbytes)
+    assert _traced_peak(validate_mesh, fresh) <= 1.6 * (nbytes - field.nbytes)
 
 
 def test_export_solution_peak_memory(refined_solution, tmp_path):

@@ -15,9 +15,12 @@ from laneemden.assembly import assemble_stiffness, restrict_interior
 from laneemden.errors import ConfigError, DimensionError, MeshError
 from laneemden.mesh import (
     Mesh,
+    _edge_counts,
     _edges,
     _longest_edge,
+    basis_gradients,
     build_unit_square,
+    geometry_blocks,
     mesh_from_tokens,
     prolongate,
     read_mesh,
@@ -194,13 +197,13 @@ def test_prolongated_coordinates_are_the_fine_ones(hexagon_text, domain, depth):
 def test_stored_arrays_are_read_only(tmp_path, name):
     # the caches assume an immutable mesh: a write after them would leave them stale
     m = build_unit_square(2)
-    m.geometry
+    m.areas
     write_mesh(m, tmp_path / "square.mesh")
     for mesh in (m, refine_uniform(m), read_mesh(tmp_path / "square.mesh")):
         a = getattr(mesh, name)
         with pytest.raises(ValueError, match="read-only"):
             a[6] = a[5]
-    assert np.array_equal(m.geometry[0], triangle_areas(m))
+    assert np.array_equal(m.areas, triangle_areas(m))
     # the flag is cleared on the array passed in, not on a copy
     passed = getattr(m, name).copy()
     assert passed.flags.writeable
@@ -457,6 +460,23 @@ def test_longest_edge_matches_gathered_formula(hexagon_text, theta):
     assert mesh.h == _gathered_longest_edge(mesh.vertices, mesh.triangles)
 
 
+def _whole_mesh_geometry(mesh):
+    """Areas (nt,) and P1 basis gradients (nt, 3, 2) in whole-mesh arrays:
+    the formulas of the cached geometry that the blocked ones replaced, kept
+    as the bit reference."""
+    p, t = mesh.vertices, mesh.triangles
+    e1 = p[t[:, 1]] - p[t[:, 0]]
+    e2 = p[t[:, 2]] - p[t[:, 0]]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    grads = np.empty((t.shape[0], 3, 2))
+    grads[:, 1, 0] = e2[:, 1] / det
+    grads[:, 1, 1] = -e2[:, 0] / det
+    grads[:, 2, 0] = -e1[:, 1] / det
+    grads[:, 2, 1] = e1[:, 0] / det
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
+    return 0.5 * det, grads
+
+
 @pytest.mark.parametrize("theta", [0.0, 0.3])
 def test_blocked_geometry_matches_whole_mesh_formulas(monkeypatch, hexagon_text, theta):
     mesh = mesh_from_tokens(hexagon_text(theta).split())
@@ -464,7 +484,13 @@ def test_blocked_geometry_matches_whole_mesh_formulas(monkeypatch, hexagon_text,
         mesh = refine_uniform(mesh)  # 384 triangles: 55 blocks of 7, the last short
     monkeypatch.setattr(mesh_module, "GEOMETRY_BLOCK", 7)
     assert mesh.h == _gathered_longest_edge(mesh.vertices, mesh.triangles)
-    assert triangle_areas(mesh).tobytes() == mesh.geometry[0].tobytes()
+    area, grads = _whole_mesh_geometry(mesh)
+    assert triangle_areas(mesh).tobytes() == area.tobytes()
+    assert mesh.areas.tobytes() == area.tobytes()
+    blocks = list(geometry_blocks(mesh.n_triangles))
+    assert len(blocks) == 55 and blocks[-1].start == 378
+    blocked = np.concatenate([basis_gradients(mesh, s) for s in blocks], axis=2)
+    assert blocked.tobytes() == grads.transpose(2, 1, 0).tobytes()
 
 
 @pytest.mark.parametrize("triangles", [
@@ -561,7 +587,7 @@ def test_pattern_invariants(pattern_mesh):
     nv, nnz = m.n_vertices, indices.size
     assert indptr.dtype == indices.dtype == slots.dtype == np.int32
     assert indptr[0] == 0 and indptr[-1] == nnz
-    assert nnz == nv + 2 * m.edge_table[0].shape[0]
+    assert nnz == nv + 2 * _edges(m.triangles, nv)[0].shape[0]
     rows = np.repeat(np.arange(nv), np.diff(indptr))
     # columns strictly increasing within each row, every diagonal present
     assert np.all((np.diff(indices) > 0) | (np.diff(rows) > 0))
@@ -584,7 +610,7 @@ def test_pattern_invariants(pattern_mesh):
             a[0] = 0
 
 
-def test_edge_table_shared_by_refinement_and_pattern(monkeypatch, hexagon_text):
+def test_edge_table_built_per_use_and_kept_by_none(monkeypatch, hexagon_text):
     calls = []
     real = mesh_module._edges
 
@@ -594,16 +620,15 @@ def test_edge_table_shared_by_refinement_and_pattern(monkeypatch, hexagon_text):
 
     monkeypatch.setattr(mesh_module, "_edges", spy)
     m = refine_uniform(mesh_from_tokens(hexagon_text(0.3).split()))
-    validate_mesh(m)  # builds its own table and keeps none
-    assert "edge_table" not in vars(m)
     calls.clear()
+    validate_mesh(m)  # counts the edges without the full table
+    assert calls == []
     m.pattern
     refine_uniform(m)
-    assert calls == [m.n_vertices]
-    edges, tri_edges, counts = m.edge_table
-    for a in (edges, tri_edges, counts):
-        with pytest.raises(ValueError):
-            a[0] = 0
+    assert calls == [m.n_vertices, m.n_vertices]
+    # the mesh keeps only the pattern and what it read to build it
+    assert set(vars(m)) - {"level", "vertices", "triangles", "is_boundary", "parents"} \
+        == {"h", "corners", "pattern"}
 
 
 def _whole_array_edges(triangles, nv):
@@ -640,9 +665,11 @@ def _edge_inputs(hexagon_text):
 
 def test_edges_match_whole_array_reference(hexagon_text):
     for triangles, nv in _edge_inputs(hexagon_text):
-        for got, want in zip(_edges(triangles, nv), _whole_array_edges(triangles, nv)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        want = _whole_array_edges(triangles, nv)
+        edges, counts = _edge_counts(triangles, nv)  # validate_mesh's sort without argsort
+        for got, ref in [*zip(_edges(triangles, nv), want), (edges, want[0]), (counts, want[2])]:
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 2])

@@ -6,7 +6,7 @@ import pytest
 
 from laneemden import assembly, minimizer, sparse
 from laneemden.errors import ConfigError, DimensionError, NumericsError
-from laneemden.mesh import Mesh, build_unit_square, prolongate, refine_uniform
+from laneemden.mesh import Mesh, build_unit_square, mesh_from_tokens, prolongate, refine_uniform
 from laneemden.minimizer import (
     ExtremalSolution,
     MinimizerConfig,
@@ -74,6 +74,28 @@ def test_rayleigh_quotient_zero_field():
         rayleigh_quotient(m, np.zeros(m.n_vertices), 4.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rayleigh_quotient_rejects_non_finite_field(bad):
+    # it returned nan; the first non-finite entry is named
+    m = build_unit_square(2)
+    u = initial_guess(m, 4.0)
+    u[[7, 12]] = bad
+    with pytest.raises(NumericsError, match=rf"non-finite entry u\[7\] = {bad}"):
+        rayleigh_quotient(m, u, 4.0)
+
+
+def test_rayleigh_quotient_reads_interior_values():
+    # like solve_extremal's u0, the boundary values are ignored
+    m = build_unit_square(3)
+    u = initial_guess(m, 4.0)
+    noisy = u + np.where(m.is_boundary, 5.0, 0.0)
+    assert rayleigh_quotient(m, noisy, 4.0) == rayleigh_quotient(m, u, 4.0)
+    with pytest.raises(ValueError, match="zero field"):
+        rayleigh_quotient(m, noisy - u, 4.0)
+    with pytest.raises(DimensionError):
+        rayleigh_quotient(m, u[:-1], 4.0)
+
+
 def test_rayleigh_quotient_sine_oracle():
     # independent evaluation: energy from per-triangle P1 gradients, L4 norm
     # from a degree-8 rule (|u|^4 of a P1 field is quartic, both exact)
@@ -92,7 +114,7 @@ def test_rayleigh_quotient_sine_oracle():
         gu = u[tri[0]] * ga + u[tri[1]] * gb + u[tri[2]] * gc
         energy += 0.5 * det * float(gu @ gu)
     rule = assembly.triangle_rule(8)
-    area, _ = m.geometry
+    area = m.areas
     uq = u[m.triangles] @ rule.points.T
     norm = float(area @ (np.abs(uq) ** p @ rule.weights)) ** (1.0 / p)
     oracle = np.sqrt(energy) / norm
@@ -340,19 +362,36 @@ def test_one_factorization_and_no_krylov_solve_per_level(monkeypatch):
 
 def test_geometry_computed_once_per_mesh(monkeypatch):
     computed = []
-    real = Mesh.geometry.func
+    real = Mesh.areas.func
 
     def spy(mesh):
         computed.append(mesh.n_triangles)
         return real(mesh)
 
-    monkeypatch.setattr(Mesh.geometry, "func", spy)
+    monkeypatch.setattr(Mesh.areas, "func", spy)
     m = build_unit_square(3)
     sol = solve_extremal(m, MinimizerConfig(p=4.0))
     assert sol.iterations > 1
     assert computed == [m.n_triangles]
-    assert not m.geometry[0].flags.writeable
-    assert not m.geometry[1].flags.writeable
+    assert not m.areas.flags.writeable
+
+
+def test_solved_mesh_caches_only_interior_operators(hexagon_text):
+    # No full K, gradients or edge table is kept once a level is solved.
+    hexagon = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(4):
+        hexagon = refine_uniform(hexagon)
+    for m in (build_unit_square(7), hexagon):
+        solve_extremal(m, MinimizerConfig(p=4.0))
+        stored = {"level", "vertices", "triangles", "is_boundary", "parents"}
+        assert set(vars(m)) - stored == {"interior", "areas", "corners", "pattern",
+                                         "interior_stiffness"}
+        K = m.interior_stiffness
+        own = sum(getattr(m, name).nbytes for name in stored - {"level"})
+        kept = (m.interior.nbytes + m.areas.nbytes + m.corners.nbytes
+                + sum(a.nbytes for a in m.pattern)
+                + K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+        assert kept <= 3.2 * own
 
 
 def test_one_load_per_step_and_no_norm_in_loop(monkeypatch):

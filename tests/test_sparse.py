@@ -164,7 +164,7 @@ def test_factor_singular_raises():
 def test_factor_does_not_copy_the_matrix():
     # SuperLU gets the CSC transpose, which shares the symmetric CSR matrix's arrays
     mesh = build_unit_square(7)
-    K_int = restrict_interior(mesh.stiffness, mesh)
+    K_int = mesh.interior_stiffness
     factor(K_int)  # imports scipy.sparse.linalg before tracing
     tracemalloc.start()
     try:
@@ -264,8 +264,8 @@ def _quartic_gap_operators(level, weight=1.0):
     m = build_unit_square(level)
     sol = solve_extremal(m, MinimizerConfig(p=p))
     W = assemble_weighted_mass(m, sol.field, p - 2.0)
-    A = restrict_interior(m.stiffness - weight * (p - 1.0) * W, m)
-    return A, restrict_interior(m.stiffness, m), sol.field[m.interior]
+    K = m.interior_stiffness
+    return K - weight * (p - 1.0) * restrict_interior(W, m), K, sol.field[m.interior]
 
 
 def _dense_constrained_min(A, B, c):
