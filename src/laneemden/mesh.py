@@ -344,9 +344,12 @@ def _edges(triangles: np.ndarray, nv: int):
 def _edge_counts(triangles: np.ndarray, nv: int):
     """The edges and counts of ``_edges``, bit for bit, without the
     triangles' indices into them: the keys are sorted in place, so there is
-    no argsort and no (nt, 3) index array."""
+    no argsort and no (nt, 3) index array.  The sort is the stable one that
+    ``_edges`` already runs: numpy's default for int64 is a separate SIMD
+    quicksort whose code pages, touched once, added about 0.3 MB to a mesh
+    reader's resident set, for 0.3 ms saved on the hexagon refined 7 times."""
     keys = _edge_keys(triangles, nv)
-    keys.sort()
+    keys.sort(kind="stable")
     starts = np.flatnonzero(_run_starts(keys))
     counts = np.diff(starts, append=keys.size)
     keys = keys[starts]
