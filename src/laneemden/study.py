@@ -177,7 +177,8 @@ def _error_vs_exact(mesh: Mesh, u: np.ndarray, degree: int = 8):
     def squared_errors(s):
         """Squared value errors stacked on squared gradient errors, (2 nq, b)."""
         x, y = (assembly.point_values(mesh, c, rule, s) for c in mesh.vertices.T)
-        gu = np.einsum("kt,dkt->dt", u[mesh.corners[:, s]], basis_gradients(mesh, s))  # per triangle
+        # per-triangle gradient of u, from this block's basis gradients
+        gu = np.einsum("kt,dkt->dt", u[mesh.corners[:, s]], basis_gradients(mesh, s))
         gx, gy = _exact_grad(x, y)
         return np.vstack([(assembly.point_values(mesh, u, rule, s) - _exact(x, y)) ** 2,
                           (gu[0] - gx) ** 2 + (gu[1] - gy) ** 2])
