@@ -175,9 +175,11 @@ class Mesh:
     def interior_stiffness(self):
         """The P1 stiffness on the interior vertices, K_int (scipy CSR,
         read-only arrays), cached like ``areas``: the one operator that the
-        descent factors and multiplies, the gap takes as B, and the errors,
-        the Poisson check and ``rayleigh_quotient`` read.  The full K is
-        assembled, restricted and dropped."""
+        descent solves with (``sparse.solver``) and multiplies, the gap takes
+        as B, and the errors, the Poisson check and ``rayleigh_quotient``
+        read.  On ``build_unit_square(j)`` and its refinements it is bit for
+        bit the 5-point matrix of the (2^j - 1)^2 interior grid.  The full K
+        is assembled, restricted and dropped."""
         from .assembly import assemble_stiffness, restrict_interior  # they import this module
 
         K = restrict_interior(assemble_stiffness(self), self)

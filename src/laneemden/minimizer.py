@@ -22,9 +22,14 @@ import numpy as np
 from . import assembly
 from .errors import ConfigError, NumericsError
 from .mesh import Mesh
-from .sparse import factor
+from .sparse import solver
 
 ANDERSON_DEPTH = 5  # iterates mixed per step of the converged solve
+# Singular values of the residual history below this fraction of the largest
+# are taken as rounding.  lstsq's default cutoff, 9 eps at L2, let through a
+# 6e-15 rounding direction of a rank-deficient history, and whether it did
+# (one descent step more or less) hung on the linear solve's last bits.
+ANDERSON_RCOND = 1e-12
 
 
 @dataclass
@@ -93,9 +98,10 @@ def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5)
 
     Like ``solve_extremal`` with its ``u0``, it reads only the interior
     values of u and takes the field to vanish on the boundary; the energy
-    is x' K_int x on the interior stiffness.  A non-finite entry of u
-    raises NumericsError, and a field that is zero on the interior
-    ValueError.
+    is x' K_int x on the interior stiffness.  x is divided by max |x|
+    first, so that no finite field overflows or underflows the energy and
+    the norm.  A non-finite entry of u raises NumericsError, and a field
+    that is zero on the interior ValueError.
     """
     u = np.asarray(u, dtype=np.float64)
     x = assembly.restrict_interior(u, mesh)
@@ -104,6 +110,7 @@ def rayleigh_quotient(mesh: Mesh, u: np.ndarray, p: float, quad_degree: int = 5)
         raise NumericsError(f"Rayleigh quotient: non-finite entry u[{bad[0]}] = {u[bad[0]]}")
     if not np.any(x):
         raise ValueError("Rayleigh quotient undefined for the zero field")
+    x = x / np.abs(x).max()
     energy = assembly.inner(x, mesh.interior_stiffness @ x)
     return np.sqrt(energy) / assembly.lp_norm(mesh, assembly.extend_zero(x, mesh), p, quad_degree)
 
@@ -122,9 +129,11 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     The iterate is x, the interior values of a unit-norm field; the
     boundary values of u0 are ignored, so the returned fields vanish on the
     boundary.  A descent step maps x to g = x - eta (x - energy K^-1 F(x))
-    on the interior stiffness K (``Mesh.interior_stiffness``), factored
-    once.  The gradient is evaluated on the multiplier-1 rescaling s x of
-    the iterate (s^(p-2) = x'Kx when |x|_p = 1), which keeps the
+    on the interior stiffness K (``Mesh.interior_stiffness``), solved by
+    one ``sparse.solver(K)``: sine transforms on the unit square, a
+    factorization made once per call on any other mesh.  The gradient is
+    evaluated on the multiplier-1 rescaling s x of the iterate
+    (s^(p-2) = x'Kx when |x|_p = 1), which keeps the
     inverse-Laplacian term on the same scale as x; in unit-norm variables
     this multiplies K^-1 F by the current energy.
     Stepping on the raw unit-norm iterate contracts only at a rate
@@ -136,7 +145,8 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     residuals (dG = dX + dR, with dX the iterate differences); depth 0
     (iters_fixed) gives v = g, the published descent.  Least squares rather
     than normal equations, since the history can be rank-deficient (at L2
-    the mesh symmetries confine it to 4 dimensions).
+    the mesh symmetries confine it to 4 dimensions); directions below
+    ANDERSON_RCOND are dropped.
     """
     if mesh.interior.size == 0:
         raise ConfigError("mesh has no interior vertices")
@@ -145,7 +155,7 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
         u0 = initial_guess(mesh, p, config.quad_degree)
     x = assembly.restrict_interior(u0, mesh)
     K = mesh.interior_stiffness
-    solve = factor(K).solve
+    solve = solver(K)
 
     def evaluate(v: np.ndarray):
         """Unit-norm rescaling x of v, its energy x'Kx, load F(x) and fixed-point residual.
@@ -192,7 +202,7 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
                 row = (k - 2) % depth
                 dG[row], dR[row] = g - g_prev, f - f_prev
                 m = min(k - 1, depth)
-                gamma = np.linalg.lstsq(dR[:m].T, f, rcond=None)[0]
+                gamma = np.linalg.lstsq(dR[:m].T, f, rcond=ANDERSON_RCOND)[0]
                 v = g - gamma @ dG[:m]
             g_prev, f_prev = g, f
         x, energy, F, residual = evaluate(v)

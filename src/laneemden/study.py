@@ -13,7 +13,7 @@ from . import assembly, diagnostics
 from .errors import ConfigError, DimensionError
 from .mesh import Mesh, basis_gradients, build_unit_square, prolongate, refine_uniform
 from .minimizer import MinimizerConfig, solve_extremal
-from .sparse import factor
+from .sparse import solver
 
 CSV_HEADER = "j,h,err_l2,rate_l2,err_h1,rate_h1,c_h,linf,gap,residual,iters"
 GAP_MAX_LEVEL = 6  # highest coarse level of a row that gets a gap
@@ -46,9 +46,10 @@ def inter_level_error(coarse_field: np.ndarray, fine_field: np.ndarray,
                       fine_mesh: Mesh):
     """(L2, H1-seminorm) distance between a coarse field and its refinement's.
 
-    The H1 seminorm reads the difference's interior values, on
-    ``Mesh.interior_stiffness``: the fields of ``solve_extremal`` vanish on
-    the boundary, and so does their difference.
+    It measures Dirichlet fields only, those that vanish on the boundary
+    like the fields of ``solve_extremal``: the H1 seminorm reads only the
+    difference's interior values, on ``Mesh.interior_stiffness``, which
+    gives the full stiffness's sqrt(d' K d) when d vanishes on the boundary.
     """
     fine_field = np.asarray(fine_field, dtype=np.float64)
     if fine_field.shape != (fine_mesh.n_vertices,):
@@ -71,7 +72,8 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
     paper-protocol mode (iters_fixed) so every level runs the published
     iteration count from the flat guess.  One mesh is alive at a time: level
     j's gap is taken before it is refined, and only its solution is kept
-    once level j+1 exists, so the finest solve's factor sets the peak memory.
+    once level j+1 exists, so the finest level's mesh and interior stiffness
+    set the peak memory (the unit square's solves store no factor).
     """
     if not (2 <= j_max <= 9):
         raise ConfigError(f"j_max must be in [2, 9], got {j_max}")
@@ -165,9 +167,9 @@ def _exact_grad(x, y):
 
 
 def _poisson_solve(mesh: Mesh, f) -> np.ndarray:
-    """The Dirichlet solve of -Laplace u = f, with the descent's ``factor``."""
+    """The Dirichlet solve of -Laplace u = f, with the descent's ``solver``."""
     b = assembly.load_vector(mesh, f, degree=8)
-    return assembly.extend_zero(factor(mesh.interior_stiffness).solve(b[mesh.interior]), mesh)
+    return assembly.extend_zero(solver(mesh.interior_stiffness)(b[mesh.interior]), mesh)
 
 
 def _error_vs_exact(mesh: Mesh, u: np.ndarray, degree: int = 8):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from laneemden import assembly, minimizer, sparse
+from laneemden import assembly, sparse
 from laneemden.errors import ConfigError, DimensionError, NumericsError
 from laneemden.mesh import Mesh, build_unit_square, mesh_from_tokens, prolongate, refine_uniform
 from laneemden.minimizer import (
@@ -64,7 +64,7 @@ def test_rayleigh_quotient_invariances():
     m = build_unit_square(3)
     u = initial_guess(m, 4.0)
     q = rayleigh_quotient(m, u, 4.0)
-    for t in (2.0, -3.0, 1e-3):
+    for t in (2.0, -3.0, 1e-3, 1e200, 1e-200):
         assert rayleigh_quotient(m, t * u, 4.0) == pytest.approx(q, rel=1e-12)
 
 
@@ -341,9 +341,10 @@ def test_solution_derives_converged_and_linf(stop):
     assert sol.linf == 3.0
 
 
-def test_one_factorization_and_no_krylov_solve_per_level(monkeypatch):
+def _count_solver_calls(monkeypatch):
+    """Counts of sparse.factor and sparse.cg_solve calls, updated as they run."""
     calls = {"factor": 0, "cg": 0}
-    real_factor, real_cg = minimizer.factor, sparse.cg_solve
+    real_factor, real_cg = sparse.factor, sparse.cg_solve
 
     def counting_factor(A):
         calls["factor"] += 1
@@ -353,9 +354,23 @@ def test_one_factorization_and_no_krylov_solve_per_level(monkeypatch):
         calls["cg"] += 1
         return real_cg(*args, **kwargs)
 
-    monkeypatch.setattr(minimizer, "factor", counting_factor)
+    monkeypatch.setattr(sparse, "factor", counting_factor)
     monkeypatch.setattr(sparse, "cg_solve", counting_cg)
+    return calls
+
+
+def test_square_descent_neither_factors_nor_runs_krylov(monkeypatch):
+    # the unit square's interior stiffness is solved by sine transforms
+    calls = _count_solver_calls(monkeypatch)
     sol = solve_extremal(build_unit_square(3), MinimizerConfig(p=4.0))
+    assert sol.converged and sol.iterations > 1
+    assert calls == {"factor": 0, "cg": 0}
+
+
+def test_hexagon_descent_factors_once(monkeypatch, hexagon_text):
+    calls = _count_solver_calls(monkeypatch)
+    hexagon = refine_uniform(refine_uniform(mesh_from_tokens(hexagon_text(0.0).split())))
+    sol = solve_extremal(hexagon, MinimizerConfig(p=4.0))
     assert sol.converged and sol.iterations > 1
     assert calls == {"factor": 1, "cg": 0}
 
@@ -493,8 +508,9 @@ def test_descent_leaves_blas_thread_pool_idle(thread_ticks):
     # CPU while computing on one.
     mesh = build_unit_square(7)
     config = MinimizerConfig(p=11.0, iters_fixed=60)
-    # Loading scipy's own OpenBLAS (with the first factorization) starts its
-    # pool, whose worker spins once at start-up: do that outside the count.
+    # A first descent does the one-time loading outside the count: numpy.fft
+    # on the square, and with a first factorization scipy's own OpenBLAS,
+    # whose worker spins once at start-up.
     solve_extremal(build_unit_square(2), config)
     time.sleep(0.5)  # workers woken before this test go back to sleep
     own0, other0 = thread_ticks()

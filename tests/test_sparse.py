@@ -15,13 +15,14 @@ from laneemden.assembly import (
     restrict_interior,
 )
 from laneemden.errors import DimensionError, NumericsError
-from laneemden.mesh import build_unit_square
+from laneemden.mesh import build_unit_square, mesh_from_tokens, refine_uniform
 from laneemden.minimizer import MinimizerConfig, solve_extremal
 from laneemden.sparse import (
     CgFailure,
     cg_solve,
     factor,
     smallest_eig_constrained,
+    solver,
 )
 
 
@@ -173,6 +174,66 @@ def test_factor_does_not_copy_the_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * (K_int.data.nbytes + K_int.indices.nbytes + K_int.indptr.nbytes)
+
+
+def _counting_factor(monkeypatch):
+    """The list of the orders of the matrices sparse.factor is called on."""
+    orders = []
+    real = sparse.factor
+
+    def counting(A):
+        orders.append(A.shape[0])
+        return real(A)
+
+    monkeypatch.setattr(sparse, "factor", counting)
+    return orders
+
+
+@pytest.mark.parametrize("level", [1, 3, 7])
+def test_solver_sine_transform_matches_factor(monkeypatch, level):
+    K = build_unit_square(level).interior_stiffness
+    b = np.random.default_rng(level).standard_normal(K.shape[0])
+    oracle = factor(K).solve(b)
+    orders = _counting_factor(monkeypatch)
+    x = solver(K)(b)
+    assert orders == []  # the square's 5-point matrix takes the sine transform
+    assert x.shape == b.shape
+    assert np.linalg.norm(x - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def _fall_through_operators(hexagon_text):
+    """SPD matrices that are not the 5-point matrix of a grid, by name: the
+    refined hexagon, and the L3 square with one defect each."""
+    K = build_unit_square(3).interior_stiffness
+    perm = np.random.default_rng(3).permutation(K.shape[0])
+    permuted = sp.csr_matrix(K[perm][:, perm])
+    nudged = {}  # one entry of each of the five diagonals moved by one ulp
+    for offset in (0, 1, -1, 7, -7):
+        r, c = 8, 8 + offset  # grid point (1, 1) of the 7 x 7 grid and a neighbour
+        nudged[offset] = K.copy()
+        nudged[offset][r, c] = np.nextafter(K[r, c], 0.0)
+    stored_zero = K.tolil()
+    stored_zero[0, K.shape[0] - 1] = 1.0  # a corner pair that is not coupled
+    stored_zero = sp.csr_matrix(stored_zero)
+    stored_zero.data[stored_zero.data == 1.0] = 0.0  # kept as an explicit entry
+    assert all((A != K).nnz == 1 for A in nudged.values()) and (permuted != K).nnz > 0
+    assert stored_zero.nnz == K.nnz + 1 and (stored_zero != K).nnz == 0
+    hexagon = refine_uniform(refine_uniform(mesh_from_tokens(hexagon_text(0.0).split())))
+    return {"hexagon": hexagon.interior_stiffness, "permuted": permuted,
+            **{f"nudged{k:+d}": A for k, A in nudged.items()}, "stored_zero": stored_zero,
+            "non_square_order": sp.csr_matrix(sp.diags([-1.0, 2.5, -1.0], [-1, 0, 1],
+                                                       shape=(10, 10)))}
+
+
+@pytest.mark.parametrize("name", ["hexagon", "permuted", "nudged+0", "nudged+1", "nudged-1",
+                                  "nudged+7", "nudged-7", "stored_zero", "non_square_order"])
+def test_solver_falls_back_to_factor(monkeypatch, hexagon_text, name):
+    A = _fall_through_operators(hexagon_text)[name]
+    b = np.random.default_rng(4).standard_normal(A.shape[0])
+    orders = _counting_factor(monkeypatch)
+    x = solver(A)(b)
+    assert orders == [A.shape[0]]
+    assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_eig_identity_pair():

@@ -8,7 +8,7 @@ from laneemden.errors import ConfigError
 from laneemden.mesh import build_unit_square, refine_uniform
 from laneemden.minimizer import MinimizerConfig, solve_extremal
 from laneemden.sparse import cg_solve
-from laneemden import assembly, study
+from laneemden import assembly, minimizer, sparse, study
 from laneemden import mesh as mesh_module
 from laneemden.study import (
     CSV_HEADER,
@@ -51,6 +51,38 @@ def test_inter_level_error_symmetric_in_sign_of_difference():
     fwd = inter_level_error(u, v, fine)
     rev = inter_level_error(u, 2.0 * prolongate(u, fine) - v, fine)
     assert fwd == pytest.approx(rev, rel=1e-12)
+
+
+def test_inter_level_error_h1_is_full_energy_of_dirichlet_fields():
+    coarse = build_unit_square(2)
+    fine = refine_uniform(coarse)
+    from laneemden.mesh import prolongate
+
+    rng = np.random.default_rng(2)
+    u = np.where(coarse.is_boundary, 0.0, rng.standard_normal(coarse.n_vertices))
+    v = np.where(fine.is_boundary, 0.0, rng.standard_normal(fine.n_vertices))
+    d = prolongate(u, fine) - v
+    h1 = inter_level_error(u, v, fine)[1]
+    assert h1 == pytest.approx(math.sqrt(d @ (assembly.assemble_stiffness(fine) @ d)),
+                               rel=1e-12)
+
+
+def test_run_study_same_with_forced_factorization(monkeypatch):
+    sine = run_study(4.0, 4)
+    factored = []
+
+    def factor_solver(A):
+        factored.append(A.shape[0])
+        return sparse.factor(A).solve
+
+    monkeypatch.setattr(minimizer, "solver", factor_solver)
+    forced = run_study(4.0, 4)
+    assert factored == [(2 ** j - 1) ** 2 for j in range(1, 6)]
+    assert [r.iters for r in sine] == [r.iters for r in forced]
+    for a, b in zip(sine, forced):
+        assert a.c_h == pytest.approx(b.c_h, rel=1e-12)
+    for a, b in zip(sine[1:], forced[1:]):  # row 1 has no rates
+        assert abs(a.rate_l2 - b.rate_l2) <= 5e-5 and abs(a.rate_h1 - b.rate_h1) <= 5e-5
 
 
 def test_run_study_minimal():
