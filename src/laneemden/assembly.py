@@ -1,12 +1,13 @@
 """P1 matrix/vector assembly with symmetric triangle quadrature.
 
-Every kernel works corner-major: nodal values are gathered through
-``Mesh.corners`` into (3, nt) arrays, quadrature-point values are
-(nq, nt), load blocks (3, nt) and matrix blocks one (nt,) row per corner
-pair, so each pass runs over contiguous rows of length nt.  Matrices are
-summed straight into the data array of the mesh's cached sparsity pattern
-(``Mesh.pattern``), one corner pair at a time.  Accumulation follows the
-fixed corner order, so results are deterministic.
+Every kernel works corner-major: nodal values are gathered through the
+transpose of ``Mesh.triangles`` into (3, b) arrays, quadrature-point values
+are (nq, b), load blocks (3, nt) and matrix blocks one (nt,) row per corner
+pair, so each pass runs over rows of length nt.  A load is summed into its
+vertices one corner at a time, and a matrix straight into the data array of
+its sparsity pattern (``_pattern``, built for each matrix and kept by
+none), one corner pair at a time.  Accumulation follows the fixed corner
+order, so results are deterministic.
 
 The quadrature kernels share one loop, ``triangle_integrals``, which
 streams the triangles in blocks of ``QUAD_BLOCK``: a block's nodal values
@@ -14,8 +15,8 @@ are gathered, evaluated at the points and reduced into its columns of the
 per-triangle integrals before the next block is gathered, so no (nq, nt)
 array is ever whole.  Every column is computed by the same operations as
 on the whole mesh; each kernel supplies only its integrand and its
-reduction (``bincount`` for a load, a sum for the norm, ``_scatter`` for
-the weighted mass).
+reduction (``_corner_sum`` for a load, a sum for the norm, ``_scatter``
+for the weighted mass).
 
 The small products here are shaped so that OpenBLAS runs them in the
 calling thread: a call it splits across its thread pool leaves the pool's
@@ -34,13 +35,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DimensionError
-from .mesh import Mesh, basis_gradients, geometry_blocks
+from .mesh import Mesh, _edges, basis_gradients, geometry_blocks
 
 MAX_QUAD_DEGREE = 20
 # Triangles per block of the quadrature kernels.  On the unit square at
 # L7-L9 the p = 11 load's tracemalloc peak falls from 34 to 13 times the bytes
-# of its output (the (3, nt) array and bincount hold the rest) and its time
-# from 4.8 to 2.4 ms at L7, 68 to 50 ms at L9; 2^10 to 2^13 do alike.
+# of its output (7.3 once the loads stopped copying the (3, nt) array into a
+# bincount) and its time from 4.8 to 2.4 ms at L7, 68 to 50 ms at L9; 2^10 to
+# 2^13 do alike.
 QUAD_BLOCK = 4096
 MAX_SQUARING_EXPONENT = 64  # |u|**e by repeated squaring up to this integer e
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # corner pairs i <= j
@@ -121,7 +123,7 @@ def point_values(mesh: Mesh, u: np.ndarray, rule: QuadratureRule,
                  block: slice = slice(None)) -> np.ndarray:
     """Values (nq, nt) of the P1 interpolant of u at the rule's points, on
     the triangles of ``block`` (all of them by default)."""
-    return rule.points @ u[mesh.corners[:, block]]
+    return rule.points @ u[mesh.triangles[block].T]
 
 
 def triangle_integrals(mesh: Mesh, table: np.ndarray, values) -> np.ndarray:
@@ -164,8 +166,54 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
         x *= x
 
 
+def _pattern(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P1 sparsity pattern: CSR ``indptr`` and ``indices`` (int32) of the
+    diagonal and both directions of every edge, and the (3, 3, nt) int32
+    slot map, ``slots[i, j, t]`` being the position in ``data`` of the
+    entry (corner i, corner j) of triangle t.
+
+    Row r holds (r, lo) for the edges with hi == r, then (r, r), then
+    (r, hi) for the edges with lo == r; the columns are sorted because the
+    edge table is sorted by (lo, hi).  The edge table is built here and not
+    kept, and ``_scatter`` drops the slot map once its matrix is summed.
+    """
+    nv = mesh.n_vertices
+    edges, tri_edges = _edges(mesh.triangles, nv)[:2]
+    ne = edges.shape[0]
+    lo, hi = edges.T
+    below = np.bincount(hi, minlength=nv)  # entries left of the diagonal
+    above = np.bincount(lo, minlength=nv)  # entries right of it
+    indptr = np.zeros(nv + 1, dtype=np.int32)
+    np.cumsum(below + above + 1, out=indptr[1:])
+    diag = indptr[:-1] + below
+    # Row lo's right part lists its edges in edge order, the first one
+    # being edge cumsum(above)[lo] - above[lo].
+    upper = np.arange(1, ne + 1, dtype=np.int32)
+    upper += (diag - (np.cumsum(above) - above))[lo]
+    # Row hi's left part lists its edges by lo: in their stable order by hi.
+    order = np.argsort(hi, kind="stable")
+    lower = np.empty(ne, dtype=np.int32)
+    lower[order] = (np.arange(ne, dtype=np.int32)
+                    + (indptr[:-1] - (np.cumsum(below) - below))[hi[order]])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diag] = np.arange(nv)
+    indices[upper] = hi
+    indices[lower] = lo
+
+    t = mesh.triangles
+    slots = np.empty((3, 3, mesh.n_triangles), dtype=np.int32)
+    for i in range(3):
+        j = (i + 1) % 3
+        e = tri_edges[:, i]  # the edge from corner i to corner j
+        up = t[:, i] < t[:, j]
+        slots[i, i] = diag[t[:, i]]
+        slots[i, j] = np.where(up, upper[e], lower[e])
+        slots[j, i] = np.where(up, lower[e], upper[e])
+    return indptr, indices, slots
+
+
 def _scatter(mesh: Mesh, blocks) -> sp.csr_matrix:
-    """Sum symmetric per-triangle blocks into a CSR matrix on ``Mesh.pattern``.
+    """Sum symmetric per-triangle blocks into a CSR matrix on ``_pattern``.
 
     ``blocks`` yields (i, j, b) for the corner pairs i <= j, with b (nt,) the
     entries (corner i, corner j) of every triangle; b serves (j, i) as well.
@@ -173,16 +221,16 @@ def _scatter(mesh: Mesh, blocks) -> sp.csr_matrix:
     the pattern's slot map: no per-entry index arrays, no sort and no
     temporary beyond the block.  Exact zeros (the stiffness couplings across
     right-triangle hypotenuses) are dropped: the stored pattern fixes the
-    factorization's ordering.  A matrix without them shares the mesh's
-    read-only ``indptr`` and ``indices``.
+    factorization's ordering.
     """
-    indptr, indices, slots = mesh.pattern
+    indptr, indices, slots = _pattern(mesh)
     nnz = indices.size
     data = np.zeros(nnz)
     for i, j, b in blocks:
         np.add.at(data, slots[i, j], b)
         if i != j:
             np.add.at(data, slots[j, i], b)
+    del slots
     keep = data != 0.0
     if not keep.all():
         kept = np.zeros(nnz + 1, dtype=indptr.dtype)  # entries kept before each
@@ -252,18 +300,26 @@ def nonlinear_load(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> np.n
         return fq
 
     # b_i = sum_T area_T sum_q w_q f(x_q) lam_qi, summed over the corners
-    local = triangle_integrals(mesh, rule.points.T * rule.weights, values)
-    return np.bincount(mesh.corners.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
+    return _corner_sum(mesh, triangle_integrals(mesh, rule.points.T * rule.weights, values))
 
 
 def load_vector(mesh: Mesh, f, degree: int = 5) -> np.ndarray:
     """Load vector of a coordinate function f(x, y) (for linear problems)."""
     rule = triangle_rule(degree)
     x, y = mesh.vertices.T
-    local = triangle_integrals(mesh, rule.points.T * rule.weights,
-                               lambda s: f(point_values(mesh, x, rule, s),
-                                           point_values(mesh, y, rule, s)))
-    return np.bincount(mesh.corners.ravel(), weights=local.ravel(), minlength=mesh.n_vertices)
+    return _corner_sum(mesh, triangle_integrals(mesh, rule.points.T * rule.weights,
+                                                lambda s: f(point_values(mesh, x, rule, s),
+                                                            point_values(mesh, y, rule, s))))
+
+
+def _corner_sum(mesh: Mesh, local: np.ndarray) -> np.ndarray:
+    """Sum a load's (3, nt) per-triangle blocks into its vertices, corner 0's
+    column first: the order of a ``bincount`` over the corner-major indices,
+    so the same bits, without a (3 nt,) copy of the connectivity."""
+    out = np.zeros(mesh.n_vertices)
+    for k in range(3):
+        np.add.at(out, mesh.triangles[:, k], local[k])
+    return out
 
 
 def lp_norm(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> float:

@@ -12,6 +12,11 @@ bit, and SuperLU's minimum-degree ordering starts from the same kind of
 numbering on every domain.  Minimum degree is sensitive to that start: on a
 hexagon refined 6 times, the numbering the edge table gives took about 20
 times as long to factor.
+
+A mesh caches only what every solve on it reads: ``interior``, ``areas``
+and ``interior_stiffness`` (and the scalars ``h`` and ``parent_nv``).  The
+kernels gather through ``triangles`` itself, and each assembled matrix
+builds its sparsity pattern and drops it.
 """
 
 from __future__ import annotations
@@ -112,66 +117,6 @@ class Mesh:
         return area
 
     @cached_property
-    def corners(self) -> np.ndarray:
-        """Vertex indices corner-major: the contiguous (3, nt) transpose of
-        ``triangles``, read-only and cached like ``areas``.
-
-        Gathering nodal values through it gives (3, nt) arrays whose rows
-        are contiguous, which is the layout of every quadrature kernel.
-        """
-        c = self.triangles.T.copy()
-        c.flags.writeable = False
-        return c
-
-    @cached_property
-    def pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """P1 sparsity pattern: CSR ``indptr`` and ``indices`` (int32) of the
-        diagonal and both directions of every edge, and the (3, 3, nt) int32
-        slot map, ``slots[i, j, t]`` being the position in ``data`` of the
-        entry (corner i, corner j) of triangle t.  Read-only and cached.
-
-        Row r holds (r, lo) for the edges with hi == r, then (r, r), then
-        (r, hi) for the edges with lo == r; the columns are sorted because
-        the edge table is sorted by (lo, hi).  The edge table is built here
-        and not kept.
-        """
-        nv = self.n_vertices
-        edges, tri_edges = _edges(self.triangles, nv)[:2]
-        ne = edges.shape[0]
-        lo, hi = edges.T
-        below = np.bincount(hi, minlength=nv)  # entries left of the diagonal
-        above = np.bincount(lo, minlength=nv)  # entries right of it
-        indptr = np.zeros(nv + 1, dtype=np.int32)
-        np.cumsum(below + above + 1, out=indptr[1:])
-        diag = indptr[:-1] + below
-        # Row lo's right part lists its edges in edge order, the first one
-        # being edge cumsum(above)[lo] - above[lo].
-        upper = np.arange(1, ne + 1, dtype=np.int32)
-        upper += (diag - (np.cumsum(above) - above))[lo]
-        # Row hi's left part lists its edges by lo: in their stable order by hi.
-        order = np.argsort(hi, kind="stable")
-        lower = np.empty(ne, dtype=np.int32)
-        lower[order] = (np.arange(ne, dtype=np.int32)
-                        + (indptr[:-1] - (np.cumsum(below) - below))[hi[order]])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        indices[diag] = np.arange(nv)
-        indices[upper] = hi
-        indices[lower] = lo
-
-        c = self.corners
-        slots = np.empty((3, 3, self.n_triangles), dtype=np.int32)
-        for i in range(3):
-            j = (i + 1) % 3
-            e = tri_edges[:, i]  # the edge from corner i to corner j
-            up = c[i] < c[j]
-            slots[i, i] = diag[c[i]]
-            slots[i, j] = np.where(up, upper[e], lower[e])
-            slots[j, i] = np.where(up, lower[e], upper[e])
-        for a in (indptr, indices, slots):
-            a.flags.writeable = False
-        return indptr, indices, slots
-
-    @cached_property
     def interior_stiffness(self):
         """The P1 stiffness on the interior vertices, K_int (scipy CSR,
         read-only arrays), cached like ``areas``: the one operator that the
@@ -179,7 +124,7 @@ class Mesh:
         as B, and the errors, the Poisson check and ``rayleigh_quotient``
         read.  On ``build_unit_square(j)`` and its refinements it is bit for
         bit the 5-point matrix of the (2^j - 1)^2 interior grid.  The full K
-        is assembled, restricted and dropped."""
+        and its pattern are assembled, restricted and dropped."""
         from .assembly import assemble_stiffness, restrict_interior  # they import this module
 
         K = restrict_interior(assemble_stiffness(self), self)
@@ -324,8 +269,8 @@ def _edges(triangles: np.ndarray, nv: int):
     keys are taken before the triangles' indices are made, and the
     endpoints are split from them last.  On the hexagon refined 7 times the
     traced peak is 1.85 times the mesh's arrays, against 3.03 with
-    whole-array expressions.  ``refine_uniform`` and ``Mesh.pattern`` each
-    build the table and keep none of it.
+    whole-array expressions.  ``refine_uniform`` and the assembly's
+    ``_pattern`` each build the table and keep none of it.
     """
     keys = _edge_keys(triangles, nv)
     order = np.argsort(keys, kind="stable")

@@ -293,15 +293,6 @@ def test_blocked_stiffness_is_bit_identical_to_whole_mesh(monkeypatch, hexagon_t
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
 
 
-def test_corners_cached_read_only():
-    m = _hexagon(1)
-    c = m.corners
-    assert m.corners is c
-    assert c.flags.c_contiguous and np.array_equal(c, m.triangles.T)
-    with pytest.raises(ValueError):
-        c[0, 0] = 0
-
-
 # Triangle-major reference copies of the kernels: (nt, nq) point values and
 # (nt, 3) or (nt, 3, 3) blocks, summed in triangle index order.
 
@@ -463,15 +454,28 @@ def test_block_kernels_match_triangle_major(blocked_mesh, p):
 
 
 def test_block_load_is_bit_identical_to_whole_mesh(blocked_mesh):
+    # Each load against one whole-mesh pass reduced by a bincount over the
+    # corner-major indices, the order the per-corner sums must keep.
     m = blocked_mesh
+    corners = m.triangles.T
+
+    def whole_mesh_load(rule, fq):
+        local = (rule.points.T * rule.weights) @ fq
+        local *= m.areas
+        return np.bincount(corners.ravel(), weights=local.ravel(), minlength=m.n_vertices)
+
     u = np.random.default_rng(6).standard_normal(m.n_vertices)
     rule = triangle_rule(5)
-    uq = rule.points @ u[m.corners]
+    uq = rule.points @ u[corners]
     fq = assembly._power(np.abs(uq), 9.0) * uq
-    local = (rule.points.T * rule.weights) @ fq
-    local *= m.areas
-    whole = np.bincount(m.corners.ravel(), weights=local.ravel(), minlength=m.n_vertices)
-    assert np.array_equal(nonlinear_load(m, u, 11.0), whole)
+    assert np.array_equal(nonlinear_load(m, u, 11.0), whole_mesh_load(rule, fq))
+
+    def f(x, y):
+        return np.sin(3.0 * x) * np.cos(2.0 * y) + x * y
+
+    rule = triangle_rule(8)
+    x, y = (rule.points @ c[corners] for c in m.vertices.T)
+    assert np.array_equal(load_vector(m, f, 8), whole_mesh_load(rule, f(x, y)))
 
 
 def test_power_by_squaring_matches_pow():
@@ -488,16 +492,16 @@ def test_power_by_squaring_matches_pow():
 
 
 def test_nonlinear_load_peak_memory():
-    # The (3, nt) local array and bincount's own copy of it hold about 12
-    # times the bytes of the load; the whole mesh's (7, nt) point values
-    # took 34 times.
+    # The (3, nt) local array holds about 6 times the bytes of the load, and
+    # the peak is 7.3 times them; a bincount's own copy of the local array
+    # took it to 12.9, and the whole mesh's (7, nt) point values to 34.
     m = build_unit_square(8)
     u = np.random.default_rng(7).standard_normal(m.n_vertices)
-    F = nonlinear_load(m, u, 11.0)   # areas and corners are cached here
+    F = nonlinear_load(m, u, 11.0)   # the areas are cached here
     tracemalloc.start()
     try:
         nonlinear_load(m, u, 11.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * F.nbytes
+    assert peak <= 9 * F.nbytes

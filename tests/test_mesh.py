@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laneemden import assembly
 from laneemden import mesh as mesh_module
 from laneemden.assembly import assemble_stiffness, restrict_interior
 from laneemden.errors import ConfigError, DimensionError, MeshError
@@ -582,8 +583,7 @@ def test_interior_cached_read_only(pattern_mesh):
 
 def test_pattern_invariants(pattern_mesh):
     m = pattern_mesh
-    indptr, indices, slots = m.pattern
-    assert m.pattern[2] is slots
+    indptr, indices, slots = assembly._pattern(m)
     nv, nnz = m.n_vertices, indices.size
     assert indptr.dtype == indices.dtype == slots.dtype == np.int32
     assert indptr[0] == 0 and indptr[-1] == nnz
@@ -595,7 +595,7 @@ def test_pattern_invariants(pattern_mesh):
     # every slot in range and at the entry (corner i, corner j)
     assert slots.shape == (3, 3, m.n_triangles)
     assert slots.min() >= 0 and slots.max() < nnz
-    c = m.corners
+    c = m.triangles.T
     for i in range(3):
         for j in range(3):
             assert np.array_equal(rows[slots[i, j]], c[i])
@@ -605,9 +605,10 @@ def test_pattern_invariants(pattern_mesh):
                           (np.repeat(m.triangles, 3, axis=1).ravel(),
                            np.tile(m.triangles, (1, 3)).ravel())), shape=(nv, nv)).tocsr()
     assert np.array_equal(ones.indptr, indptr) and np.array_equal(ones.indices, indices)
-    for a in (indptr, indices, slots):
-        with pytest.raises(ValueError):
-            a[0] = 0
+    # built for each matrix and cached nowhere: a second build shares no memory
+    for a, b in zip(assembly._pattern(m), (indptr, indices, slots)):
+        assert np.array_equal(a, b) and not np.shares_memory(a, b)
+    assert set(vars(m)) - {"level", "vertices", "triangles", "is_boundary", "parents"} == set()
 
 
 def test_edge_table_built_per_use_and_kept_by_none(monkeypatch, hexagon_text):
@@ -619,16 +620,18 @@ def test_edge_table_built_per_use_and_kept_by_none(monkeypatch, hexagon_text):
         return real(triangles, nv)
 
     monkeypatch.setattr(mesh_module, "_edges", spy)
+    monkeypatch.setattr(assembly, "_edges", spy)
     m = refine_uniform(mesh_from_tokens(hexagon_text(0.3).split()))
     calls.clear()
     validate_mesh(m)  # counts the edges without the full table
     assert calls == []
-    m.pattern
+    assembly._pattern(m)
     refine_uniform(m)
     assert calls == [m.n_vertices, m.n_vertices]
-    # the mesh keeps only the pattern and what it read to build it
+    # the mesh keeps no table, pattern or connectivity copy: only the
+    # longest edge that validate_mesh read
     assert set(vars(m)) - {"level", "vertices", "triangles", "is_boundary", "parents"} \
-        == {"h", "corners", "pattern"}
+        == {"h"}
 
 
 def _whole_array_edges(triangles, nv):

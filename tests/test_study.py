@@ -67,6 +67,25 @@ def test_inter_level_error_h1_is_full_energy_of_dirichlet_fields():
                                rel=1e-12)
 
 
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_inter_level_error_l2_is_mass_matrix_norm(dirichlet):
+    # The quadrature norm is exact for P1 fields, with or without boundary
+    # values: the consistent mass matrix stays its reference.
+    coarse = build_unit_square(3)
+    fine = refine_uniform(coarse)
+    from laneemden.mesh import prolongate
+
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(coarse.n_vertices)
+    v = rng.standard_normal(fine.n_vertices)
+    if dirichlet:
+        u[coarse.is_boundary] = 0.0
+        v[fine.is_boundary] = 0.0
+    d = prolongate(u, fine) - v
+    l2 = inter_level_error(u, v, fine)[0]
+    assert l2 == pytest.approx(math.sqrt(d @ (assembly.assemble_mass(fine) @ d)), rel=1e-12)
+
+
 def test_run_study_same_with_forced_factorization(monkeypatch):
     sine = run_study(4.0, 4)
     factored = []

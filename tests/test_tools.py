@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from laneemden.study import run_study
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -21,6 +23,10 @@ def test_study_footprint_prints_one_json_line():
     assert record["wall_s"] > 0.0
     assert 0.0 < record["setup_maxrss_mb"] <= record["maxrss_mb"]
     assert math.isfinite(record["rate_l2"]) and math.isfinite(record["rate_h1"])
+    # every row's c_h and step count, as run_study computes them here
+    rows = run_study(4.0, 3)
+    assert record["c_h"] == [r.c_h for r in rows]
+    assert record["iters"] == [r.iters for r in rows] and all(n >= 1 for n in record["iters"])
 
 
 def _tool(name):

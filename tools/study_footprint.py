@@ -1,12 +1,14 @@
-"""Wall time, peak memory and last rates of one rate study, in a fresh process.
+"""Wall time, peak memory and numbers of one rate study, in a fresh process.
 
     python3 tools/study_footprint.py --p 11 --levels 8
 
 Imports laneemden from this checkout's ``src/``, runs ``run_study(p, levels)``
 with the default settings and prints one JSON line: the study's wall seconds,
-the process's ``ru_maxrss`` in MB after the imports and after the study, and
-the last row's L2 and H1 rates.  ``ru_maxrss`` is a high-water mark of the
-whole process, so run one study per command.
+the process's ``ru_maxrss`` in MB after the imports and after the study, the
+last row's L2 and H1 rates, and every row's ``c_h`` and descent steps
+(``iters``), so that runs of two checkouts show whether they computed the
+same numbers.  ``ru_maxrss`` is a high-water mark of the whole process, so
+run one study per command.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ def main(argv=None) -> int:
         "maxrss_mb": round(maxrss_mb(), 1),
         "rate_l2": last.rate_l2,
         "rate_h1": last.rate_h1,
+        "c_h": [r.c_h for r in rows],
+        "iters": [r.iters for r in rows],
     }))
     return 0
 
