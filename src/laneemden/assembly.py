@@ -10,7 +10,8 @@ none), one corner pair at a time.  Accumulation follows the fixed corner
 order, so results are deterministic.
 
 The quadrature kernels share one loop, ``triangle_integrals``, which
-streams the triangles in blocks of ``QUAD_BLOCK``: a block's nodal values
+streams the triangles in the mesh's blocks (``mesh.triangle_blocks``, of
+``TRIANGLE_BLOCK`` triangles): a block's nodal values
 are gathered, evaluated at the points and reduced into its columns of the
 per-triangle integrals before the next block is gathered, so no (nq, nt)
 array is ever whole.  Every column is computed by the same operations as
@@ -35,15 +36,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, DimensionError
-from .mesh import Mesh, _edges, basis_gradients, geometry_blocks
+from .mesh import Mesh, _edges, _triangle_edges, basis_gradients, triangle_blocks
 
 MAX_QUAD_DEGREE = 20
-# Triangles per block of the quadrature kernels.  On the unit square at
-# L7-L9 the p = 11 load's tracemalloc peak falls from 34 to 13 times the bytes
-# of its output (7.3 once the loads stopped copying the (3, nt) array into a
-# bincount) and its time from 4.8 to 2.4 ms at L7, 68 to 50 ms at L9; 2^10 to
-# 2^13 do alike.
-QUAD_BLOCK = 4096
 MAX_SQUARING_EXPONENT = 64  # |u|**e by repeated squaring up to this integer e
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # corner pairs i <= j
 
@@ -131,13 +126,13 @@ def triangle_integrals(mesh: Mesh, table: np.ndarray, values) -> np.ndarray:
 
     ``table`` (r, nq) holds the rule's weights times any point factors and
     ``values(s)`` the integrand (nq, b) at the points of the triangles of the
-    slice s.  The triangles go in blocks of QUAD_BLOCK (the last may be
-    short), each evaluated and reduced before the next is gathered.
+    slice s.  The triangles go in the blocks of ``triangle_blocks`` (the
+    last may be short), each evaluated and reduced before the next is
+    gathered.
     """
     area = mesh.areas
     out = np.empty((table.shape[0], mesh.n_triangles))
-    for start in range(0, mesh.n_triangles, QUAD_BLOCK):
-        s = slice(start, start + QUAD_BLOCK)
+    for s in triangle_blocks(mesh.n_triangles):
         np.multiply(table @ values(s), area[s], out=out[:, s])
     return out
 
@@ -174,11 +169,12 @@ def _pattern(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Row r holds (r, lo) for the edges with hi == r, then (r, r), then
     (r, hi) for the edges with lo == r; the columns are sorted because the
-    edge table is sorted by (lo, hi).  The edge table is built here and not
-    kept, and ``_scatter`` drops the slot map once its matrix is summed.
+    edge table is sorted by (lo, hi).  The edge table and the triangles'
+    indices into it are built here and not kept, and ``_scatter`` drops the
+    slot map once its matrix is summed.
     """
     nv = mesh.n_vertices
-    edges, tri_edges = _edges(mesh.triangles, nv)[:2]
+    edges = _edges(mesh.triangles, nv)[0]
     ne = edges.shape[0]
     lo, hi = edges.T
     below = np.bincount(hi, minlength=nv)  # entries left of the diagonal
@@ -201,6 +197,7 @@ def _pattern(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     indices[lower] = lo
 
     t = mesh.triangles
+    tri_edges = _triangle_edges(t, edges, nv)
     slots = np.empty((3, 3, mesh.n_triangles), dtype=np.int32)
     for i in range(3):
         j = (i + 1) % 3
@@ -246,13 +243,13 @@ def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
     """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j).
 
     The closed-form entries of each corner pair are formed from the basis
-    gradients of GEOMETRY_BLOCK triangles at a time, which are not kept,
+    gradients of TRIANGLE_BLOCK triangles at a time, which are not kept,
     and summed on the pattern pair by pair, in the order of a whole-mesh
     pass.
     """
     area = mesh.areas
     local = np.empty((len(_UPPER), mesh.n_triangles))
-    for s in geometry_blocks(mesh.n_triangles):
+    for s in triangle_blocks(mesh.n_triangles):
         gx, gy = basis_gradients(mesh, s)
         for k, (i, j) in enumerate(_UPPER):
             np.multiply(gx[i] * gx[j] + gy[i] * gy[j], area[s], out=local[k, s])

@@ -13,6 +13,11 @@ numbering on every domain.  Minimum degree is sensitive to that start: on a
 hexagon refined 6 times, the numbering the edge table gives took about 20
 times as long to factor.
 
+The edge table is built one way, by ``_edges`` (the sorted unique edges and
+their counts), and ``_triangle_edges`` indexes each triangle's edges into
+it for refinement and the sparsity pattern.  Every pass over the triangles
+streams them in blocks of ``triangle_blocks``.
+
 A mesh caches only what every solve on it reads: ``interior``, ``areas``
 and ``interior_stiffness`` (and the scalars ``h`` and ``parent_nv``).  The
 kernels gather through ``triangles`` itself, and each assembled matrix
@@ -34,7 +39,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, MeshError
 
 MAX_LEVEL = 12
-MIN_AREA = 1e-14
+MIN_AREA = 1e-14  # relative to the largest triangle area
 # The text format is read in chunks of READ_CHUNK bytes and written in
 # blocks of WRITE_ROWS rows, so that neither direction holds a token list or
 # a text of the whole file: one Python str or int per number takes about
@@ -43,9 +48,14 @@ MIN_AREA = 1e-14
 # chunks.
 READ_CHUNK = 1 << 16
 WRITE_ROWS = 1 << 14
-# Triangle areas and edge lengths are computed GEOMETRY_BLOCK triangles at a
-# time, so that their gathered temporaries stay below 2 MiB on any mesh.
-GEOMETRY_BLOCK = 1 << 14
+# Every pass over the triangles (areas, edge lengths, basis gradients and the
+# quadrature kernels) takes TRIANGLE_BLOCK of them at a time, so that its
+# gathered temporaries stay small on any mesh; a block's results do not
+# depend on its size.  On the unit square at L7-L9 the blocks took the
+# p = 11 load's tracemalloc peak from 34 to 13 times the bytes of its output
+# and its time from 4.8 to 2.4 ms at L7, 68 to 50 ms at L9; 2^10 to 2^13 do
+# alike.
+TRIANGLE_BLOCK = 4096
 _SPACE = b" \t\n\r\v\f"  # ASCII whitespace, as bytes.split() knows it
 
 
@@ -108,11 +118,14 @@ class Mesh:
         Computed on first use and kept on the instance, read-only, so every
         assembly and quadrature call on this mesh shares one copy.  The mesh
         is immutable, which is what makes the cache valid.  Raises MeshError
-        on a degenerate triangle.
+        on a degenerate triangle: one whose area is not above MIN_AREA times
+        the largest, so that the check reads the shape of the mesh and not
+        the size of its domain.
         """
         area = triangle_areas(self)
-        if np.any(area < MIN_AREA):
-            raise MeshError(f"degenerate triangle (min area {area.min():.3e})")
+        if not np.all(area > MIN_AREA * area.max()):  # a NaN fails too
+            raise MeshError(f"degenerate triangle (min area {area.min():.3e}, "
+                            f"max {area.max():.3e})")
         area.flags.writeable = False
         return area
 
@@ -133,18 +146,18 @@ class Mesh:
         return K
 
 
-def geometry_blocks(n_triangles: int):
-    """Consecutive slices of GEOMETRY_BLOCK triangles, the last maybe short."""
-    return (slice(start, start + GEOMETRY_BLOCK)
-            for start in range(0, n_triangles, GEOMETRY_BLOCK))
+def triangle_blocks(n_triangles: int):
+    """Consecutive slices of TRIANGLE_BLOCK triangles, the last maybe short."""
+    return (slice(start, start + TRIANGLE_BLOCK)
+            for start in range(0, n_triangles, TRIANGLE_BLOCK))
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
     """Signed areas (positive for counter-clockwise triangles), gathered
-    GEOMETRY_BLOCK triangles at a time: only the (nt,) result is whole."""
+    TRIANGLE_BLOCK triangles at a time: only the (nt,) result is whole."""
     p = mesh.vertices
     areas = np.empty(mesh.n_triangles)
-    for s in geometry_blocks(mesh.n_triangles):
+    for s in triangle_blocks(mesh.n_triangles):
         t = mesh.triangles[s]
         e1 = p[t[:, 1]] - p[t[:, 0]]
         e2 = p[t[:, 2]] - p[t[:, 0]]
@@ -174,7 +187,7 @@ def basis_gradients(mesh: Mesh, block: slice) -> np.ndarray:
 
 def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
     """Longest edge length, from corner-major (3, b) gathers of x and y over
-    blocks of GEOMETRY_BLOCK triangles, squared and summed in place.
+    blocks of TRIANGLE_BLOCK triangles, squared and summed in place.
 
     The maximum of the blocks' maxima is the maximum of all squared lengths,
     so the bits are those of one whole-mesh pass, inf included when a length
@@ -182,7 +195,7 @@ def _longest_edge(vertices: np.ndarray, triangles: np.ndarray) -> float:
     """
     x, y = vertices[:, 0], vertices[:, 1]
     longest = 0.0  # a square is never below it, and a NaN is never dropped
-    for s in geometry_blocks(triangles.shape[0]):
+    for s in triangle_blocks(triangles.shape[0]):
         a = triangles[s].T
         b = np.roll(a, -1, axis=0)  # second endpoints of edges 01, 12, 20
         dx = x[a]
@@ -240,68 +253,43 @@ def _edge_keys(triangles: np.ndarray, nv: int) -> np.ndarray:
     return keys.ravel()
 
 
-def _run_starts(keys: np.ndarray) -> np.ndarray:
-    """Mask of the keys that start a run of equal keys, in sorted keys."""
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return first
-
-
-def _edge_ends(keys: np.ndarray, nv: int) -> np.ndarray:
-    """Endpoints (ne, 2) int32, low then high, of the unique edge keys."""
-    edges = np.empty((keys.size, 2), dtype=np.int32)
-    edges[:, 0], edges[:, 1] = np.divmod(keys, nv)
-    return edges
-
-
 def _edges(triangles: np.ndarray, nv: int):
-    """Edge table of a triangulation with nv vertices.
+    """Edge table of a triangulation with nv vertices: the unique edges
+    (ne, 2) int32, sorted by (low, high) endpoint, and the number of
+    triangles on each edge (ne,).
 
-    Returns the unique edges (ne, 2), sorted by (low, high) endpoint; each
-    triangle's edges 01, 12, 20 as indices into them (nt, 3); and the
-    number of triangles on each edge (ne,).  Edges and indices are int32.
-    This is ``np.unique`` with ``return_inverse`` and ``return_counts``, but
-    on a stable argsort: the keys of a sorted triangle list come in sorted
-    runs, which it sorts faster than ``np.unique``'s quicksort.
-
-    Each array is dropped once the next step no longer needs it: the unique
-    keys are taken before the triangles' indices are made, and the
-    endpoints are split from them last.  On the hexagon refined 7 times the
-    traced peak is 1.85 times the mesh's arrays, against 3.03 with
-    whole-array expressions.  ``refine_uniform`` and the assembly's
-    ``_pattern`` each build the table and keep none of it.
+    This is ``np.unique`` with ``return_counts`` on the half-edge keys, but
+    the keys are sorted in place, with no argsort.  The sort is numpy's
+    stable one: the default for int64 is a separate SIMD quicksort whose
+    code pages, touched once, added about 0.3 MB to a mesh reader's
+    resident set, for 0.3 ms saved on the hexagon refined 7 times.
+    ``_triangle_edges`` gives each triangle's indices into the edges to the
+    callers that need them; no caller keeps the table.
     """
     keys = _edge_keys(triangles, nv)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = _run_starts(keys)
-    starts = np.flatnonzero(first)
-    keys = keys[starts]
-    counts = np.diff(starts, append=first.size)
-    del starts
-    runs = np.cumsum(first, dtype=np.int32)
-    runs -= 1
-    tri_edges = np.empty(runs.size, dtype=np.int32)
-    tri_edges[order] = runs
-    del order, runs
-    return _edge_ends(keys, nv), tri_edges.reshape(triangles.shape), counts
-
-
-def _edge_counts(triangles: np.ndarray, nv: int):
-    """The edges and counts of ``_edges``, bit for bit, without the
-    triangles' indices into them: the keys are sorted in place, so there is
-    no argsort and no (nt, 3) index array.  The sort is the stable one that
-    ``_edges`` already runs: numpy's default for int64 is a separate SIMD
-    quicksort whose code pages, touched once, added about 0.3 MB to a mesh
-    reader's resident set, for 0.3 ms saved on the hexagon refined 7 times."""
-    keys = _edge_keys(triangles, nv)
     keys.sort(kind="stable")
-    starts = np.flatnonzero(_run_starts(keys))
+    first = np.empty(keys.size, dtype=bool)  # the keys that start a run
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
     counts = np.diff(starts, append=keys.size)
     keys = keys[starts]
     del starts
-    return _edge_ends(keys, nv), counts
+    edges = np.empty((keys.size, 2), dtype=np.int32)
+    edges[:, 0], edges[:, 1] = np.divmod(keys, nv)
+    return edges, counts
+
+
+def _triangle_edges(triangles: np.ndarray, edges: np.ndarray, nv: int) -> np.ndarray:
+    """Each triangle's edges 01, 12, 20 as indices (nt, 3) int32 into the
+    sorted ``edges`` of ``_edges``: a binary search of the half-edge keys
+    in the edges' keys."""
+    keys = edges[:, 0].astype(np.int64)
+    keys *= nv
+    keys += edges[:, 1]
+    tri_edges = np.searchsorted(keys, _edge_keys(triangles, nv))
+    return tri_edges.astype(np.int32).reshape(triangles.shape)
 
 
 def refine_uniform(coarse: Mesh) -> Mesh:
@@ -313,7 +301,8 @@ def refine_uniform(coarse: Mesh) -> Mesh:
     ``build_unit_square(level + 1)``.
     """
     nvc = coarse.n_vertices
-    edges, tri_edges, counts = _edges(coarse.triangles, nvc)
+    edges, counts = _edges(coarse.triangles, nvc)
+    tri_edges = _triangle_edges(coarse.triangles, edges, nvc)
     p = coarse.vertices
     # Halving first cannot overflow and, above the subnormals, gives the same bits.
     vertices = np.vstack([p, 0.5 * p[edges[:, 0]] + 0.5 * p[edges[:, 1]]])
@@ -372,13 +361,11 @@ def prolongate(coarse_field: np.ndarray, fine: Mesh) -> np.ndarray:
 def validate_mesh(mesh: Mesh) -> None:
     """Raise MeshError if any structural invariant fails.
 
-    The areas and the longest edge (``Mesh.h``) are gathered GEOMETRY_BLOCK
+    The areas and the longest edge (``Mesh.h``) are gathered TRIANGLE_BLOCK
     triangles at a time, and every area is known before any is judged, so
     an overflow anywhere is reported before a non-positive area anywhere.
-    The edges and their counts (``_edge_counts``, keys sorted in place) are
-    taken after the areas are dropped; they set the peak, which on the
-    hexagon refined 7 times is 1.48 times the mesh's arrays (1.85 with the
-    full edge table of ``_edges``).
+    The edges and their counts (``_edges``) are taken after the areas are
+    dropped, with no per-triangle indices into them; they set the peak.
     """
     if not np.all(np.isfinite(mesh.vertices)):
         raise MeshError("non-finite vertex coordinates")
@@ -392,7 +379,7 @@ def validate_mesh(mesh: Mesh) -> None:
         raise MeshError("non-positive triangle area")
     del areas  # before the edge counts, where this function peaks in memory
 
-    edges, counts = _edge_counts(mesh.triangles, mesh.n_vertices)
+    edges, counts = _edges(mesh.triangles, mesh.n_vertices)
     on_boundary = mesh.is_boundary[edges].all(axis=1)
     bad = np.flatnonzero((counts != 2) & ~((counts == 1) & on_boundary))
     if bad.size:

@@ -287,7 +287,7 @@ def test_blocked_stiffness_is_bit_identical_to_whole_mesh(monkeypatch, hexagon_t
     for _ in range(3):
         m = refine_uniform(m)
     whole = assemble_stiffness(m)
-    monkeypatch.setattr(mesh_module, "GEOMETRY_BLOCK", 7)
+    monkeypatch.setattr(mesh_module, "TRIANGLE_BLOCK", 7)
     blocked = assemble_stiffness(m)
     for name in ("indptr", "indices", "data"):
         assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
@@ -424,17 +424,18 @@ def test_kernels_reject_non_finite_exponents(bad):
         assemble_weighted_mass(m, u, bad)
 
 
-@pytest.fixture(params=[None, 1000], ids=["QUAD_BLOCK", "block1000"])
+@pytest.fixture(params=[None, 1000], ids=["TRIANGLE_BLOCK", "block1000"])
 def blocked_mesh(request, hexagon_text, monkeypatch):
     """The conftest hexagon refined 5 times (6144 triangles), which spans
     several blocks and ends in a partial one, at the module's block size
     and at 1000."""
     if request.param is not None:
-        monkeypatch.setattr(assembly, "QUAD_BLOCK", request.param)
+        monkeypatch.setattr(mesh_module, "TRIANGLE_BLOCK", request.param)
     m = mesh_from_tokens(hexagon_text(0.3).split())
     for _ in range(5):
         m = refine_uniform(m)
-    assert m.n_triangles > assembly.QUAD_BLOCK and m.n_triangles % assembly.QUAD_BLOCK
+    block = mesh_module.TRIANGLE_BLOCK
+    assert m.n_triangles > block and m.n_triangles % block
     return m
 
 

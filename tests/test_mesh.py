@@ -16,18 +16,18 @@ from laneemden.assembly import assemble_stiffness, restrict_interior
 from laneemden.errors import ConfigError, DimensionError, MeshError
 from laneemden.mesh import (
     Mesh,
-    _edge_counts,
     _edges,
     _longest_edge,
+    _triangle_edges,
     basis_gradients,
     build_unit_square,
-    geometry_blocks,
     mesh_from_tokens,
     prolongate,
     read_mesh,
     read_tokens,
     refine_uniform,
     triangle_areas,
+    triangle_blocks,
     validate_mesh,
     write_mesh,
 )
@@ -483,12 +483,12 @@ def test_blocked_geometry_matches_whole_mesh_formulas(monkeypatch, hexagon_text,
     mesh = mesh_from_tokens(hexagon_text(theta).split())
     for _ in range(3):
         mesh = refine_uniform(mesh)  # 384 triangles: 55 blocks of 7, the last short
-    monkeypatch.setattr(mesh_module, "GEOMETRY_BLOCK", 7)
+    monkeypatch.setattr(mesh_module, "TRIANGLE_BLOCK", 7)
     assert mesh.h == _gathered_longest_edge(mesh.vertices, mesh.triangles)
     area, grads = _whole_mesh_geometry(mesh)
     assert triangle_areas(mesh).tobytes() == area.tobytes()
     assert mesh.areas.tobytes() == area.tobytes()
-    blocks = list(geometry_blocks(mesh.n_triangles))
+    blocks = list(triangle_blocks(mesh.n_triangles))
     assert len(blocks) == 55 and blocks[-1].start == 378
     blocked = np.concatenate([basis_gradients(mesh, s) for s in blocks], axis=2)
     assert blocked.tobytes() == grads.transpose(2, 1, 0).tobytes()
@@ -499,7 +499,7 @@ def test_blocked_geometry_matches_whole_mesh_formulas(monkeypatch, hexagon_text,
     [[2, 3, 4], [0, 1, 2], [1, 3, 2]],  # in the first block
 ], ids=["middle", "first"])
 def test_blocked_longest_edge_keeps_a_nan(monkeypatch, triangles):
-    monkeypatch.setattr(mesh_module, "GEOMETRY_BLOCK", 1)
+    monkeypatch.setattr(mesh_module, "TRIANGLE_BLOCK", 1)
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [np.inf, 0.0], [np.inf, 1.0]])
     triangles = np.array(triangles, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -613,21 +613,25 @@ def test_pattern_invariants(pattern_mesh):
 
 def test_edge_table_built_per_use_and_kept_by_none(monkeypatch, hexagon_text):
     calls = []
-    real = mesh_module._edges
+    for name in ("_edges", "_triangle_edges"):
+        real = getattr(mesh_module, name)
 
-    def spy(triangles, nv):
-        calls.append(nv)
-        return real(triangles, nv)
+        def spy(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
 
-    monkeypatch.setattr(mesh_module, "_edges", spy)
-    monkeypatch.setattr(assembly, "_edges", spy)
+        monkeypatch.setattr(mesh_module, name, spy)
+        monkeypatch.setattr(assembly, name, spy)
     m = refine_uniform(mesh_from_tokens(hexagon_text(0.3).split()))
     calls.clear()
-    validate_mesh(m)  # counts the edges without the full table
-    assert calls == []
+    validate_mesh(m)  # the edges and their counts, no per-triangle indices
+    assert calls == ["_edges"]
+    calls.clear()
     assembly._pattern(m)
+    assert calls == ["_edges", "_triangle_edges"]
+    calls.clear()
     refine_uniform(m)
-    assert calls == [m.n_vertices, m.n_vertices]
+    assert calls == ["_edges", "_triangle_edges"]
     # the mesh keeps no table, pattern or connectivity copy: only the
     # longest edge that validate_mesh read
     assert set(vars(m)) - {"level", "vertices", "triangles", "is_boundary", "parents"} \
@@ -635,8 +639,9 @@ def test_edge_table_built_per_use_and_kept_by_none(monkeypatch, hexagon_text):
 
 
 def _whole_array_edges(triangles, nv):
-    """The whole-array ``_edges`` that the in-place one replaced, kept as
-    the bit reference."""
+    """The whole-array argsort edge table that ``_edges`` and
+    ``_triangle_edges`` replaced, kept as the bit reference: the edges, each
+    triangle's indices into them and the counts."""
     ends = np.roll(triangles, -1, axis=1)
     keys = (np.minimum(triangles, ends) * nv + np.maximum(triangles, ends)).ravel()
     order = np.argsort(keys, kind="stable")
@@ -668,9 +673,9 @@ def _edge_inputs(hexagon_text):
 
 def test_edges_match_whole_array_reference(hexagon_text):
     for triangles, nv in _edge_inputs(hexagon_text):
-        want = _whole_array_edges(triangles, nv)
-        edges, counts = _edge_counts(triangles, nv)  # validate_mesh's sort without argsort
-        for got, ref in [*zip(_edges(triangles, nv), want), (edges, want[0]), (counts, want[2])]:
+        edges, counts = _edges(triangles, nv)
+        table = (edges, _triangle_edges(triangles, edges, nv), counts)
+        for got, ref in zip(table, _whole_array_edges(triangles, nv)):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
 
@@ -678,7 +683,7 @@ def test_edges_match_whole_array_reference(hexagon_text):
 @pytest.mark.parametrize("block", [1, 2])
 def test_overflow_reported_before_a_non_positive_area_in_an_earlier_block(monkeypatch, block):
     # triangle 0 is clockwise; the squared length of edge 1-3 in triangle 3 overflows
-    monkeypatch.setattr(mesh_module, "GEOMETRY_BLOCK", block)
+    monkeypatch.setattr(mesh_module, "TRIANGLE_BLOCK", block)
     text = ("6 4\n0 0 1\n1 0 1\n0 1 1\n1.7976931348623157e308 0 1\n1 1 1\n2 2 1\n"
             "0 2 1\n1 4 2\n2 4 5\n1 3 4\n")
     with pytest.raises(MeshError, match="edge lengths or triangle areas overflow"):

@@ -517,3 +517,28 @@ def test_descent_leaves_blas_thread_pool_idle(thread_ticks):
     solve_extremal(mesh, config)
     own1, other1 = thread_ticks()
     assert other1 - other0 <= 0.05 * (own1 - own0)
+
+
+def _square_fan(scale: float) -> Mesh:
+    """The square [0, scale]^2 as 4 triangles fanned around its centre."""
+    corners = [(0.0, 0.0), (scale, 0.0), (scale, scale), (0.0, scale)]
+    rows = [f"{0.5 * scale!r} {0.5 * scale!r} 0"] + [f"{x!r} {y!r} 1" for x, y in corners]
+    fan = [f"0 {k} {k % 4 + 1}" for k in range(1, 5)]
+    return mesh_from_tokens(" ".join(["5 4", *rows, *fan]).split())
+
+
+@pytest.mark.parametrize("p", [4.0, 11.0])
+def test_extremal_constant_scales_with_the_domain(p):
+    # The Dirichlet energy is scale-invariant in 2-D and the L^p norm scales
+    # as lam^(2/p), so c_h(lam) = lam^(-2/p) c_h(1).  The degeneracy check is
+    # relative: an absolute area bound rejected the 1e-5 square at level 6.
+    results = []
+    for scale in (1.0, 2.0 ** -17, 1e-5):
+        m = _square_fan(scale)
+        for _ in range(6):
+            m = refine_uniform(m)
+        results.append((scale, solve_extremal(m, MinimizerConfig(p=p))))
+    (_, ref), *scaled = results
+    for scale, sol in scaled:
+        assert sol.iterations == ref.iterations
+        assert sol.c_h == pytest.approx(scale ** (-2.0 / p) * ref.c_h, rel=1e-12, abs=0.0)
