@@ -244,6 +244,9 @@ def main(argv=None) -> int:
     except (NumericsError,) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as e:  # numpy's message names the allocation that failed
+        print(f"out of memory: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except OSError as e:
         print(f"i/o failure: {e}", file=sys.stderr)
         return EXIT_IO

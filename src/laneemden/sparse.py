@@ -13,6 +13,13 @@ from .assembly import inner
 from .errors import DimensionError, NumericsError
 
 MAX_INVERSE_ITERATIONS = 200  # step cap of smallest_eig_constrained
+# Constrained eigensolves of smaller order take one dense eigendecomposition of
+# A in place of ``factor``: at these sizes the factorization's import of
+# scipy.sparse.linalg (~0.1 s, ~9 MB and scipy's own OpenBLAS, whose worker
+# spins once) costs far more than the solve.  15 is also 5 x LOBPCG's block
+# size of 3, the smallest order at which LOBPCG takes a constraint block
+# (Knyazev, SIAM J. Sci. Comput. 23, 2001).
+DENSE_EIG_ORDER = 15
 
 
 @dataclass
@@ -206,9 +213,12 @@ def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
     """Smallest generalized Rayleigh quotient x'Ax/x'Bx subject to x'Bc = 0.
 
     Inverse iteration (shift 0) with the constraint re-imposed every step
-    by B-orthogonal deflation of c, each step one exact solve on a single
-    ``factor(A)``; it stops when the quotient moves by at most tol relative,
-    or after MAX_INVERSE_ITERATIONS steps.  Where the pivots show A is not
+    by B-orthogonal deflation of c, each step one exact solve with A; it
+    stops when the quotient moves by at most tol relative, or after
+    MAX_INVERSE_ITERATIONS steps.  The solves come from a single
+    ``factor(A)``, or, below order DENSE_EIG_ORDER, from one dense
+    ``eigh``: A = V diag(w) V', a solve being V ((V'b) / w).  Where A's
+    inertia (the negative pivots, or the negative w) shows it is not
     positive definite on the constraint subspace, the gap is reported as
     non-positive; a singular A (or projected operator) raises NumericsError.
     """
@@ -249,26 +259,40 @@ def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
     Bx /= bnorm
     lam = inner(x, A @ x)
 
-    lu = factor(A)
+    if n < DENSE_EIG_ORDER:
+        w, V = np.linalg.eigh(A.toarray())
+        if np.any(w == 0.0):
+            raise NumericsError("dense eigendecomposition: A is exactly singular")
+        negative = int(np.count_nonzero(w < 0.0))
+        symmetric = True
+
+        def solve(b: np.ndarray) -> np.ndarray:
+            return V @ ((V.T @ b) / w)
+    else:
+        lu = factor(A)
+        negative = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+        symmetric = np.array_equal(lu.perm_r, lu.perm_c)
+        solve = lu.solve
     # [[A, Bc], [Bc', 0]] has the inertia of A plus that of -(Bc)'A^-1(Bc)
     # (Haynsworth), and that of A on {x'Bc = 0} plus one + and one -: A is
-    # definite there iff it has no negative pivot, or one with (Bc)'A^-1(Bc) < 0.
-    negative = int(np.count_nonzero(lu.U.diagonal() < 0.0))
-    definite = np.array_equal(lu.perm_r, lu.perm_c) and (
-        negative == 0 or (negative == 1 and inner(Bc, lu.solve(Bc)) < 0.0))
+    # definite there iff it has no negative pivot (eigenvalue), or one with
+    # (Bc)'A^-1(Bc) < 0.  SuperLU's pivots give A's inertia only where its
+    # row and column permutations agree.
+    definite = symmetric and (
+        negative == 0 or (negative == 1 and inner(Bc, solve(Bc)) < 0.0))
     if not definite:
         return min(lam, 0.0)
 
     # A step solves A y - alpha c = project(B x) with y'Bc = 0:
     # y = z1 - ((Bc)'z1 / (Bc)'z2) z2, z1 = A^-1 project(B x), z2 = A^-1 c.
     # B x is carried over from the step before, as B y / |y|_B.
-    z2 = lu.solve(c)
+    z2 = solve(c)
     s = inner(Bc, z2)
     if s == 0.0:
         raise NumericsError("projected operator is singular on the constraint subspace")
 
     for _ in range(MAX_INVERSE_ITERATIONS):
-        z1 = lu.solve(project(Bx))
+        z1 = solve(project(Bx))
         y = project(z1 - (inner(Bc, z1) / s) * z2)
         By = B @ y
         ynorm = float(np.sqrt(max(inner(y, By), 0.0)))

@@ -640,3 +640,23 @@ def test_diagnose_fixed_steps_above_residual_precondition(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "gap" not in captured.out
     assert len(captured.err.splitlines()) == 1 and "residual" in captured.err
+
+
+def test_out_of_memory_exits_numerical_with_one_line(tmp_path, capsys, monkeypatch, hexagon_text):
+    # as refining the hexagon to level 11 ends under a 1.5 GB address-space limit
+    def exhausted(mesh):
+        raise MemoryError("Unable to allocate 1.50 GiB for an array with shape (201326592,) "
+                          "and data type int64")
+
+    path = tmp_path / "hexagon.mesh"
+    path.write_text(hexagon_text())
+    monkeypatch.setattr("laneemden.cli.refine_uniform", exhausted)
+    out_dir = tmp_path / "out"
+    code = main(["solve", "--p", "4", "--level", "11", "--domain", f"mesh:{path}",
+                 "--out-dir", str(out_dir)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "out of memory: Unable to allocate 1.50 GiB for an array with shape (201326592,) "
+        "and data type int64"]
+    assert not out_dir.exists()

@@ -96,8 +96,9 @@ def test_gap_leaves_blas_thread_pool_idle(thread_ticks):
     sol = solve_extremal(mesh, MinimizerConfig(p=4.0))
     # Loading scipy's own OpenBLAS (with the first factorization, which the
     # square's descent no longer makes) starts its pool, whose worker spins
-    # once at start-up: do that outside the count.
-    coarse = build_unit_square(2)
+    # once at start-up: do that outside the count.  The warm-up gap is L3's,
+    # 49 unknowns: L2's 9 take the dense eigendecomposition and never factor.
+    coarse = build_unit_square(3)
     nondegeneracy_gap(coarse, solve_extremal(coarse, MinimizerConfig(p=4.0)), 4.0)
     time.sleep(0.5)  # workers woken before this test go back to sleep
     own0, other0 = thread_ticks()

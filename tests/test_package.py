@@ -57,3 +57,22 @@ from laneemden import MinimizerConfig, build_unit_square, solve_extremal
 solve_extremal(build_unit_square(3), MinimizerConfig(p=4.0))
 """
     assert _lazy_modules_loaded(code) == []
+
+
+def test_paper_protocol_loads_no_lazy_module():
+    # The fixed-step protocol takes one gap, at L2: its 9 unknowns go through
+    # one dense eigendecomposition, not a factorization.
+    code = """
+from laneemden import MinimizerConfig, run_study
+run_study(11, 6, MinimizerConfig(p=11, iters_fixed=60), scaling="unit-norm")
+"""
+    assert _lazy_modules_loaded(code) == []
+
+
+def test_gap_on_the_l2_square_loads_no_lazy_module():
+    code = """
+from laneemden import MinimizerConfig, build_unit_square, nondegeneracy_gap, solve_extremal
+m = build_unit_square(2)
+assert nondegeneracy_gap(m, solve_extremal(m, MinimizerConfig(p=4.0)), 4.0).positive
+"""
+    assert _lazy_modules_loaded(code) == []

@@ -1,4 +1,7 @@
+import importlib.util
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from laneemden import sparse
+from laneemden import diagnostics, sparse
 from laneemden.assembly import (
     assemble_mass,
     assemble_stiffness,
@@ -17,6 +20,7 @@ from laneemden.assembly import (
 from laneemden.errors import DimensionError, NumericsError
 from laneemden.mesh import build_unit_square, mesh_from_tokens, refine_uniform
 from laneemden.minimizer import MinimizerConfig, solve_extremal
+from laneemden.study import run_study
 from laneemden.sparse import (
     CgFailure,
     cg_solve,
@@ -409,6 +413,84 @@ def test_eig_matches_krylov_inverse_iteration(level):
     assert gap == pytest.approx(_krylov_inverse_iteration(A, B, c), rel=1e-7)
     # a Rayleigh quotient on the subspace bounds its minimum from above
     assert gap >= _dense_constrained_min(A, B, c) - 1e-9
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_gap_rtol():
+    spec = importlib.util.spec_from_file_location("gate", BENCH / "gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate.GAP_RTOL
+
+
+def _spy_gap_operators(monkeypatch):
+    """The list of the (A, B, c) that nondegeneracy_gap hands the eigensolver."""
+    calls = []
+
+    def spy(A, B, c):
+        calls.append((A, B, c))
+        return smallest_eig_constrained(A, B, c)
+
+    monkeypatch.setattr(diagnostics, "smallest_eig_constrained", spy)
+    return calls
+
+
+def _study_l2_gap(monkeypatch, workload, p, config):
+    """The operators of the L2 gap of run_study, as the workload takes it,
+    and the workload's reference gap on that row."""
+    calls = _spy_gap_operators(monkeypatch)
+    rows = run_study(p, 2, config)
+    reference = json.loads((BENCH / "reference" / f"{workload}.json").read_text())
+    want = next(r["gap"] for r in reference["rows"] if r["j"] == 2)
+    assert len(calls) == 1 and calls[0][0].shape == (9, 9)
+    assert smallest_eig_constrained(*calls[0]) == rows[1].gap
+    return calls[0], want
+
+
+def _hexagon_gap(monkeypatch, hexagon_text):
+    calls = _spy_gap_operators(monkeypatch)
+    mesh = refine_uniform(mesh_from_tokens(hexagon_text(0.3).split()))
+    diagnostics.nondegeneracy_gap(mesh, solve_extremal(mesh, MinimizerConfig(p=4.0)), 4.0)
+    assert len(calls) == 1 and calls[0][0].shape == (7, 7)
+    return calls[0], None
+
+
+def _diagonal_case(diagonal):
+    n = len(diagonal)
+    return (sp.csr_matrix(np.diag(diagonal)), sp.csr_matrix(np.eye(n)), np.eye(n)[0]), None
+
+
+SMALL_GAP_CASES = {
+    "study-p4 L2": lambda mp, hexagon_text: _study_l2_gap(
+        mp, "study-p4", 4.0, MinimizerConfig(p=4.0)),
+    "paper-p11 L2": lambda mp, hexagon_text: _study_l2_gap(
+        mp, "paper-p11", 11.0, MinimizerConfig(p=11.0, iters_fixed=60)),
+    "hexagon L1": _hexagon_gap,
+    "diagonal": lambda mp, hexagon_text: _diagonal_case([1.0, 2.0, 3.0]),
+    "indefinite, definite on subspace": lambda mp, hexagon_text: _diagonal_case([-1.0, 2.0, 3.0]),
+    "indefinite on subspace": lambda mp, hexagon_text: (_quartic_gap_operators(2, weight=2.0), None),
+    "breakdown": lambda mp, hexagon_text: _diagonal_case([1.0, -2.0, -3.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_GAP_CASES))
+def test_eig_dense_branch_matches_factor(monkeypatch, hexagon_text, name):
+    # Below DENSE_EIG_ORDER one dense eigh replaces the factorization; the
+    # inverse iteration is shared, so both give the same gap and decision.
+    (A, B, c), reference = SMALL_GAP_CASES[name](monkeypatch, hexagon_text)
+    assert A.shape[0] < sparse.DENSE_EIG_ORDER
+    orders = _counting_factor(monkeypatch)
+    dense = smallest_eig_constrained(A, B, c)
+    assert orders == []
+    monkeypatch.setattr(sparse, "DENSE_EIG_ORDER", 0)
+    lu = smallest_eig_constrained(A, B, c)
+    assert orders == [A.shape[0]]
+    assert (dense > 0.0) == (lu > 0.0)
+    assert dense == pytest.approx(lu, rel=1e-12, abs=0.0)
+    if reference is not None:
+        assert dense > 0.0 and abs(dense - reference) <= _bench_gap_rtol() * reference
 
 
 def test_eig_non_finite_operator_named():

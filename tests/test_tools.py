@@ -12,21 +12,34 @@ from laneemden.study import run_study
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_study_footprint_prints_one_json_line():
+def _study_footprint(levels):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "study_footprint.py"), "--p", "4", "--levels", "3"],
+        [sys.executable, str(ROOT / "tools" / "study_footprint.py"), "--p", "4",
+         "--levels", str(levels)],
         capture_output=True, text=True, check=True, timeout=120)
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
-    record = json.loads(lines[0])
+    return json.loads(lines[0])
+
+
+def test_study_footprint_prints_one_json_line():
+    record = _study_footprint(3)
     assert record["p"] == 4.0 and record["levels"] == 3
-    assert record["wall_s"] > 0.0
+    assert record["wall_s"] > 0.0 and record["cpu_s"] > 0.0
+    # the L3 gap (49 unknowns) factors, which imports scipy.sparse.linalg
+    assert record["lazy"] == ["scipy.sparse.linalg", "scipy.linalg"]
     assert 0.0 < record["setup_maxrss_mb"] <= record["maxrss_mb"]
     assert math.isfinite(record["rate_l2"]) and math.isfinite(record["rate_h1"])
     # every row's c_h and step count, as run_study computes them here
     rows = run_study(4.0, 3)
     assert record["c_h"] == [r.c_h for r in rows]
     assert record["iters"] == [r.iters for r in rows] and all(n >= 1 for n in record["iters"])
+
+
+def test_study_footprint_lazy_is_empty_without_a_factorization():
+    # run_study(4, 2) takes one gap, at L2: 9 unknowns, one dense eigendecomposition
+    record = _study_footprint(2)
+    assert record["lazy"] == []
 
 
 def _tool(name):
