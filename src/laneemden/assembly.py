@@ -6,8 +6,9 @@ are (nq, b), load blocks (3, nt) and matrix blocks one (nt,) row per corner
 pair, so each pass runs over rows of length nt.  A load is summed into its
 vertices one corner at a time, and a matrix straight into the data array of
 its sparsity pattern (``_pattern``, built for each matrix and kept by
-none), one corner pair at a time.  Accumulation follows the fixed corner
-order, so results are deterministic.
+none), one corner pair at a time, then compacted once: to its nonzeros,
+or to the nonzeros of its interior rows and columns.  Accumulation
+follows the fixed corner order, so results are deterministic.
 
 The quadrature kernels share one loop, ``triangle_integrals``, which
 streams the triangles in the mesh's blocks (``mesh.triangle_blocks``, of
@@ -209,64 +210,88 @@ def _pattern(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return indptr, indices, slots
 
 
-def _scatter(mesh: Mesh, blocks) -> sp.csr_matrix:
+def _scatter(mesh: Mesh, entries, interior: bool = False) -> sp.csr_matrix:
     """Sum symmetric per-triangle blocks into a CSR matrix on ``_pattern``.
 
-    ``blocks`` yields (i, j, b) for the corner pairs i <= j, with b (nt,) the
-    entries (corner i, corner j) of every triangle; b serves (j, i) as well.
-    Each block is added into ``data`` in place by one ``np.add.at`` through
-    the pattern's slot map: no per-entry index arrays, no sort and no
-    temporary beyond the block.  Exact zeros (the stiffness couplings across
-    right-triangle hypotenuses) are dropped: the stored pattern fixes the
-    factorization's ordering.
+    ``entries()`` returns, once the pattern is built, the rows (nt,) of the
+    corner pairs of ``_UPPER`` in order, row k the entries (corner i,
+    corner j) of every triangle for (i, j) = ``_UPPER[k]``; it serves (j, i)
+    as well.  Each row is added into ``data`` in place by one
+    ``np.add.at`` through the pattern's slot map: no per-entry index
+    arrays, no sort and no temporary beyond the row.  The rows and the slot
+    map are dropped before one compaction removes the exact zeros (the
+    stiffness couplings across right-triangle hypotenuses; the stored
+    pattern fixes the factorization's ordering) and, when ``interior``, the
+    boundary rows and columns, so that the result is bit for bit
+    ``restrict_interior`` of the full matrix without the full matrix.
     """
     indptr, indices, slots = _pattern(mesh)
-    nnz = indices.size
-    data = np.zeros(nnz)
-    for i, j, b in blocks:
+    data = np.zeros(indices.size)
+    local = entries()
+    for (i, j), b in zip(_UPPER, local):
         np.add.at(data, slots[i, j], b)
         if i != j:
             np.add.at(data, slots[j, i], b)
-    del slots
+    del local, slots
     keep = data != 0.0
-    if not keep.all():
-        kept = np.zeros(nnz + 1, dtype=indptr.dtype)  # entries kept before each
-        np.cumsum(keep, out=kept[1:])
+    if interior:
+        inside = ~mesh.is_boundary
+        keep &= inside[indices]
+        keep &= np.repeat(inside, np.diff(indptr))
+    if interior or not keep.all():
         data = data[keep]
         indices = indices[keep]
+        kept = np.zeros(keep.size + 1, dtype=indptr.dtype)  # entries kept before each
+        np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
         indptr = kept[indptr]
-    n = mesh.n_vertices
+        del kept
+    del keep
+    if interior:
+        # Column c becomes its interior index, the number of interior
+        # vertices before it.  A boundary row keeps nothing, so an interior
+        # row ends where the next interior row starts.
+        indices = (np.cumsum(inside, dtype=indices.dtype) - 1)[indices]
+        indptr = np.append(indptr[mesh.interior], indptr[-1])
+    n = indptr.size - 1
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def assemble_stiffness(mesh: Mesh) -> sp.csr_matrix:
-    """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j).
-
-    The closed-form entries of each corner pair are formed from the basis
-    gradients of TRIANGLE_BLOCK triangles at a time, which are not kept,
-    and summed on the pattern pair by pair, in the order of a whole-mesh
-    pass.
-    """
+def _stiffness_entries(mesh: Mesh) -> np.ndarray:
+    """The closed-form stiffness entries (6, nt) of the corner pairs of
+    ``_UPPER``, from the basis gradients of TRIANGLE_BLOCK triangles at a
+    time, which are not kept."""
     area = mesh.areas
     local = np.empty((len(_UPPER), mesh.n_triangles))
     for s in triangle_blocks(mesh.n_triangles):
         gx, gy = basis_gradients(mesh, s)
         for k, (i, j) in enumerate(_UPPER):
             np.multiply(gx[i] * gx[j] + gy[i] * gy[j], area[s], out=local[k, s])
-    return _scatter(mesh, ((i, j, b) for (i, j), b in zip(_UPPER, local)))
+    return local
+
+
+def assemble_stiffness(mesh: Mesh, *, interior: bool = False) -> sp.csr_matrix:
+    """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j).
+
+    The entries are formed after the pattern is built and summed on it pair
+    by pair, in the order of a whole-mesh pass.  With ``interior`` the
+    matrix holds only the interior rows and columns (homogeneous Dirichlet),
+    bit for bit ``restrict_interior(assemble_stiffness(mesh), mesh)``.
+    """
+    return _scatter(mesh, lambda: _stiffness_entries(mesh), interior)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent mass matrix; local block (area/12) [[2,1,1],[1,2,1],[1,1,2]]."""
     area = mesh.areas
-    return _scatter(mesh, ((i, j, (2.0 if i == j else 1.0) / 12.0 * area)
-                           for i, j in _UPPER))
+    return _scatter(mesh, lambda: ((2.0 if i == j else 1.0) / 12.0 * area for i, j in _UPPER))
 
 
 def assemble_weighted_mass(
-    mesh: Mesh, w: np.ndarray, exponent: float, degree: int = 5
+    mesh: Mesh, w: np.ndarray, exponent: float, degree: int = 5, *, interior: bool = False
 ) -> sp.csr_matrix:
-    """Matrix of int |w|^exponent phi_i phi_j with w its P1 interpolant."""
+    """Matrix of int |w|^exponent phi_i phi_j with w its P1 interpolant;
+    with ``interior``, its interior rows and columns alone, as for
+    ``assemble_stiffness``."""
     # Comparisons are written so that NaN fails them.
     if not 0 <= exponent < math.inf:
         raise ConfigError(f"exponent must be finite and >= 0, got {exponent}")
@@ -278,9 +303,9 @@ def assemble_weighted_mass(
     # mesh OpenBLAS threaded a (9, nq) one from about 2^14 triangles on.
     table = np.array([lam[:, i] * lam[:, j] * rule.weights for i, j in _UPPER])
     # 0**0 == 1, so exponent 0 gives the mass matrix
-    local = triangle_integrals(mesh, table,
-                               lambda s: _power(np.abs(point_values(mesh, w, rule, s)), exponent))
-    return _scatter(mesh, ((i, j, b) for (i, j), b in zip(_UPPER, local)))
+    return _scatter(mesh, lambda: triangle_integrals(
+        mesh, table, lambda s: _power(np.abs(point_values(mesh, w, rule, s)), exponent)),
+        interior)
 
 
 def nonlinear_load(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> np.ndarray:

@@ -43,9 +43,10 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
             f"extremal residual {solution.fixed_point_residual:.2e} too large "
             f"for a meaningful gap (need <= {RESIDUAL_PRECONDITION})"
         )
-    W = assembly.assemble_weighted_mass(mesh, solution.field, p - 2.0, quad_degree)
+    W = assembly.assemble_weighted_mass(mesh, solution.field, p - 2.0, quad_degree,
+                                        interior=True)
     B = mesh.interior_stiffness
-    A = B - (p - 1.0) * assembly.restrict_interior(W, mesh)
+    A = B - (p - 1.0) * W
     c = solution.field[mesh.interior]
     if not np.any(c):
         # degenerate zero input: quotient reduces to x'Kx / x'Kx = 1

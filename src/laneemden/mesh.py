@@ -136,11 +136,13 @@ class Mesh:
         descent solves with (``sparse.solver``) and multiplies, the gap takes
         as B, and the errors, the Poisson check and ``rayleigh_quotient``
         read.  On ``build_unit_square(j)`` and its refinements it is bit for
-        bit the 5-point matrix of the (2^j - 1)^2 interior grid.  The full K
-        and its pattern are assembled, restricted and dropped."""
-        from .assembly import assemble_stiffness, restrict_interior  # they import this module
+        bit the 5-point matrix of the (2^j - 1)^2 interior grid.  It is
+        summed on the full pattern, which is then compacted to the interior
+        rows and columns in one pass; no full K is formed, and the pattern
+        is dropped."""
+        from .assembly import assemble_stiffness  # it imports this module
 
-        K = restrict_interior(assemble_stiffness(self), self)
+        K = assemble_stiffness(self, interior=True)
         for a in (K.data, K.indices, K.indptr):
             a.flags.writeable = False
         return K
@@ -284,12 +286,15 @@ def _edges(triangles: np.ndarray, nv: int):
 def _triangle_edges(triangles: np.ndarray, edges: np.ndarray, nv: int) -> np.ndarray:
     """Each triangle's edges 01, 12, 20 as indices (nt, 3) int32 into the
     sorted ``edges`` of ``_edges``: a binary search of the half-edge keys
-    in the edges' keys."""
+    in the edges' keys, TRIANGLE_BLOCK triangles at a time, so that no
+    (3 nt,) key or index array is ever whole."""
     keys = edges[:, 0].astype(np.int64)
     keys *= nv
     keys += edges[:, 1]
-    tri_edges = np.searchsorted(keys, _edge_keys(triangles, nv))
-    return tri_edges.astype(np.int32).reshape(triangles.shape)
+    tri_edges = np.empty(triangles.shape, dtype=np.int32)
+    for s in triangle_blocks(triangles.shape[0]):
+        tri_edges[s] = np.searchsorted(keys, _edge_keys(triangles[s], nv)).reshape(-1, 3)
+    return tri_edges
 
 
 def refine_uniform(coarse: Mesh) -> Mesh:
@@ -299,41 +304,72 @@ def refine_uniform(coarse: Mesh) -> Mesh:
     each triangle rotated to start at its smallest vertex, and triangles
     sorted by their first two corners.  On the unit square this is exactly
     ``build_unit_square(level + 1)``.
+
+    The coordinates are formed in one unsorted array and gathered once; the
+    flags and the genealogy are written straight to their sorted places.
+    The children are built TRIANGLE_BLOCK coarse triangles at a time into
+    one (3, nt) int32 array of rotated corners and one of sort keys, and
+    gathered in sorted order a block at a time.  No whole-array temporary
+    of the children exists, and the call peaks at 1.5 times the bytes of
+    the mesh it returns from L9 to L10.
     """
-    nvc = coarse.n_vertices
+    nvc, ntc = coarse.n_vertices, coarse.n_triangles
     edges, counts = _edges(coarse.triangles, nvc)
     tri_edges = _triangle_edges(coarse.triangles, edges, nvc)
+    nv, nt = nvc + edges.shape[0], 4 * ntc
     p = coarse.vertices
+    unsorted = np.empty((nv, 2))
+    unsorted[:nvc] = p
     # Halving first cannot overflow and, above the subnormals, gives the same bits.
-    vertices = np.vstack([p, 0.5 * p[edges[:, 0]] + 0.5 * p[edges[:, 1]]])
-    nv = vertices.shape[0]
-    order = np.lexsort((vertices[:, 0], vertices[:, 1]))
-    vertices = vertices[order]
+    np.multiply(p[edges[:, 0]], 0.5, out=unsorted[nvc:])
+    unsorted[nvc:] += 0.5 * p[edges[:, 1]]
+    order = np.lexsort((unsorted[:, 0], unsorted[:, 1]))
     new = np.empty(nv, dtype=np.int64)  # new[i]: the index of vertex i in (y, x) order
     new[order] = np.arange(nv)
+    vertices = unsorted[order]
+    del unsorted, order
+    is_boundary = np.empty(nv, dtype=bool)
+    is_boundary[new[:nvc]] = coarse.is_boundary
+    is_boundary[new[nvc:]] = counts == 1
+    parents = np.empty((nv, 2), dtype=np.int64)
+    parents[new[:nvc]] = np.arange(nvc)[:, None]
+    parents[new[nvc:]] = edges
+    del edges, counts
 
-    a, b, c = new[coarse.triangles.T]
-    mab, mbc, mca = new[nvc + tri_edges.T]
-    # Corner k of the children (a, mab, mca), (mab, b, mbc), (mca, mbc, c) and
-    # (mab, mbc, mca); the sort below fixes their order.
-    t0 = np.concatenate([a, mab, mca, mab])
-    t1 = np.concatenate([mab, b, mbc, mbc])
-    t2 = np.concatenate([mca, mbc, c, mca])
-    # Cyclic rotation to the smallest corner keeps every child counter-clockwise.
-    first = np.minimum(np.minimum(t0, t1), t2)
-    second = np.where(t0 == first, t1, np.where(t1 == first, t2, t0))
-    third = t0 + t1 + t2 - first - second
-    # The keys are distinct; the stable sort is the faster on their sorted runs.
-    tri_order = np.argsort(first * nv + second, kind="stable")
-    children = np.column_stack([first[tri_order], second[tri_order], third[tri_order]])
+    # Child k of coarse triangle t is child k * ntc + t, as if the four kinds
+    # were concatenated: the stable sort below is the faster on their runs.
+    corners = np.empty((3, 4, ntc), dtype=np.int32)
+    keys = np.empty((4, ntc), dtype=np.int64)
+    for s in triangle_blocks(ntc):
+        a, b, c = new[coarse.triangles[s].T]
+        mab, mbc, mca = new[nvc + tri_edges[s].T]
+        # Corner k of the children (a, mab, mca), (mab, b, mbc), (mca, mbc, c)
+        # and (mab, mbc, mca); the sort below fixes their order.
+        t0 = np.stack([a, mab, mca, mab])
+        t1 = np.stack([mab, b, mbc, mbc])
+        t2 = np.stack([mca, mbc, c, mca])
+        # Cyclic rotation to the smallest corner keeps every child counter-clockwise.
+        first = np.minimum(np.minimum(t0, t1), t2)
+        second = np.where(t0 == first, t1, np.where(t1 == first, t2, t0))
+        corners[0, :, s] = first
+        corners[1, :, s] = second
+        corners[2, :, s] = t0 + t1 + t2 - first - second
+        keys[:, s] = first * nv + second
+    del new, tri_edges
+    # The keys are distinct, so the order does not depend on the layout.
+    tri_order = np.argsort(keys.reshape(nt), kind="stable")
+    del keys
+    corners = corners.reshape(3, nt)
+    children = np.empty((nt, 3), dtype=np.int64)
+    for s in triangle_blocks(nt):
+        children[s] = corners[:, tri_order[s]].T
 
     return Mesh(
         level=coarse.level + 1,
         vertices=vertices,
         triangles=children,
-        is_boundary=np.concatenate([coarse.is_boundary, counts == 1])[order],
-        parents=np.vstack([np.arange(nvc, dtype=np.int64).repeat(2).reshape(nvc, 2),
-                           edges])[order],
+        is_boundary=is_boundary,
+        parents=parents,
     )
 
 

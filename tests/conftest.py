@@ -26,9 +26,9 @@ def weighted_mass_degrees(monkeypatch) -> list:
     degrees = []
     real = assembly.assemble_weighted_mass
 
-    def spy(mesh, w, exponent, degree=5):
+    def spy(mesh, w, exponent, degree=5, **kwargs):
         degrees.append(degree)
-        return real(mesh, w, exponent, degree)
+        return real(mesh, w, exponent, degree, **kwargs)
 
     monkeypatch.setattr(assembly, "assemble_weighted_mass", spy)
     return degrees

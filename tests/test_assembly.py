@@ -410,6 +410,42 @@ def test_stiffness_assembly_peak_memory():
     assert peak <= 8 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
+def test_interior_stiffness_peak_memory():
+    # The pattern, the summed data and the (6, nt) entries set the peak at
+    # L8, about 4.23 times the bytes of K_int; assembling the full K and
+    # restricting it took 5.52 times.  The areas are cached first, as on a
+    # solved level.
+    m = build_unit_square(8)
+    m.areas
+    tracemalloc.start()
+    try:
+        K = m.interior_stiffness
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.6 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+
+
+@pytest.mark.parametrize("exponent", [0.0, 2.0, 9.0])
+def test_interior_weighted_mass_is_restricted_full_matrix(hexagon_text, exponent):
+    # the gap's W: one compaction of the summed pattern, bit for bit the
+    # restriction of the full matrix, its dropped zeros included
+    hexagon = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(3):
+        hexagon = refine_uniform(hexagon)
+    for m in (build_unit_square(4), hexagon):
+        w = np.random.default_rng(5).standard_normal(m.n_vertices)
+        w[:m.n_vertices // 2] = 0.0  # below the middle row: zero entries for exponent > 0
+        got = assemble_weighted_mass(m, w, exponent, interior=True)
+        full = assemble_weighted_mass(m, w, exponent)
+        assert (full.nnz < assemble_mass(m).nnz) == (exponent > 0)
+        want = restrict_interior(full, m)
+        assert got.shape == want.shape == (m.interior.size,) * 2
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_kernels_reject_non_finite_exponents(bad):
     # An infinite exponent gave lp_norm 1.0 for a field of maximum 0.5 and an

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import re
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -396,6 +397,37 @@ def test_unstructured_refinement_matches_dict_reference(hexagon_text):
         mesh = fine
 
 
+@pytest.mark.parametrize("block", [1, 7, None], ids=["block1", "block7", "TRIANGLE_BLOCK"])
+def test_blocked_refinement_matches_dict_reference(monkeypatch, hexagon_text, block):
+    # the children are built and gathered in blocks; no block size moves a bit
+    if block is not None:
+        monkeypatch.setattr(mesh_module, "TRIANGLE_BLOCK", block)
+    mesh = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(4):
+        fine = refine_uniform(mesh)
+        ref = _canonical(_dict_refine(mesh))
+        for name in ("vertices", "triangles", "is_boundary", "parents"):
+            got, want = getattr(fine, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        mesh = fine
+
+
+def test_refinement_peak_memory():
+    # The children's corners (int32), sort keys and order, and the fine
+    # arrays: about 1.66 times the fine mesh's bytes from L7 to L8, against
+    # 3.48 times with whole-array child corners.
+    coarse = build_unit_square(7)
+    tracemalloc.start()
+    try:
+        fine = refine_uniform(coarse)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(getattr(fine, name).nbytes
+               for name in ("vertices", "triangles", "is_boundary", "parents"))
+    assert peak <= 2.0 * size
+
+
 def _fill(mesh: Mesh) -> int:
     """Nonzeros of the minimum-degree LU factors of the interior stiffness."""
     from scipy.sparse.linalg import splu
@@ -678,6 +710,17 @@ def test_edges_match_whole_array_reference(hexagon_text):
         for got, ref in zip(table, _whole_array_edges(triangles, nv)):
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_blocked_triangle_edges_match_whole_array_reference(monkeypatch, hexagon_text, block):
+    # _triangle_edges searches one block of half-edge keys at a time
+    monkeypatch.setattr(mesh_module, "TRIANGLE_BLOCK", block)
+    for triangles, nv in _edge_inputs(hexagon_text):
+        edges = _edges(triangles, nv)[0]
+        got = _triangle_edges(triangles, edges, nv)
+        ref = _whole_array_edges(triangles, nv)[1]
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("block", [1, 2])

@@ -205,17 +205,19 @@ def test_run_study_passes_quad_degree_to_gap(weighted_mass_degrees):
 
 
 def test_run_study_assembles_stiffness_once_per_level(monkeypatch):
-    levels = []
+    levels, interior = [], []
     real = assembly.assemble_stiffness
 
-    def counting(mesh):
+    def counting(mesh, **kwargs):
         levels.append(mesh.level)
-        return real(mesh)
+        interior.append(kwargs.get("interior", False))
+        return real(mesh, **kwargs)
 
     monkeypatch.setattr(assembly, "assemble_stiffness", counting)
     rows = run_study(4.0, 3)
     assert any(r.gap is not None for r in rows)  # the gap reads it too
     assert levels == [1, 2, 3, 4]
+    assert all(interior)  # Mesh.interior_stiffness forms no full K
 
 
 def test_run_study_holds_one_level(monkeypatch):
