@@ -12,14 +12,12 @@ import scipy.sparse as sp
 from .assembly import inner
 from .errors import DimensionError, NumericsError
 
-MAX_INVERSE_ITERATIONS = 200  # step cap of smallest_eig_constrained
-# Constrained eigensolves of smaller order take one dense eigendecomposition of
-# A in place of ``factor``: at these sizes the factorization's import of
-# scipy.sparse.linalg (~0.1 s, ~9 MB and scipy's own OpenBLAS, whose worker
-# spins once) costs far more than the solve.  15 is also 5 x LOBPCG's block
-# size of 3, the smallest order at which LOBPCG takes a constraint block
-# (Knyazev, SIAM J. Sci. Comput. 23, 2001).
-DENSE_EIG_ORDER = 15
+MAX_INVERSE_ITERATIONS = 200  # step cap of the inverse iteration of smallest_eig_constrained
+# Lanczos steps of smallest_eig_constrained at most.  The gaps on the unit
+# square (p = 4 and 11, L2-L9) and on the refined hexagon take at most 24;
+# a pencil whose B^-1 A spreads wider takes more: the L5 square's interior
+# stiffness against its mass matrix takes 248.
+MAX_LANCZOS_STEPS = 400
 
 
 @dataclass
@@ -123,12 +121,10 @@ def cg_solve(
 def factor(A: sp.spmatrix):
     """SuperLU factorization of the symmetric matrix A, for reuse: ``factor(A).solve(b)``.
 
-    The package's one factorization routine: the gap reads its pivots, and
-    ``solver`` falls back to it for every operator but the unit square's
-    5-point matrix.  Minimum degree on A^T + A (about half the fill of
-    SuperLU's default COLAMD on the stiffness), diagonal pivots
-    only and symmetric mode: where perm_r == perm_c, U's diagonal holds the
-    pivots D of L D L', whose signs give A's inertia.  Panels of one column:
+    The package's one factorization routine: ``solver`` falls back to it
+    for every operator but the unit square's 5-point matrix.  Minimum degree
+    on A^T + A (about half the fill of SuperLU's default COLAMD on the
+    stiffness), diagonal pivots only and symmetric mode.  Panels of one column:
     with SuperLU's default of 10, the panel workspace raised the peak RSS of
     the L10 stiffness factorization 100 MB above the factors' own.  Panels
     of one are faster up to L8 (57 -> 42 ms at L7) and slower at L10
@@ -208,19 +204,55 @@ def solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return factor(A).solve if n is None else _sine_solve(n)
 
 
+def _inverse_iteration(alpha: list, beta: list, pivots: list, tol: float) -> float:
+    """Value of the inverse iteration of ``smallest_eig_constrained``, run
+    from e1 on the Lanczos tridiagonal T (``alpha`` on the diagonal, ``beta``
+    beside it); ``pivots`` are the positive pivots d of T = L D L'.
+
+    T^-1 = L^-T D^-1 L^-1 is formed by row operations on the identity, and
+    a step z = T^-1 y has the quotient z'Tz / z'z = z'y / z'z.  The stop
+    rule and the step cap are those of the iteration on the full operator.
+    """
+    m = len(alpha)
+    ell = np.divide(beta[:m - 1], pivots[:m - 1])  # L's subdiagonal
+    inv = np.eye(m)
+    for k in range(1, m):
+        inv[k] -= ell[k - 1] * inv[k - 1]
+    inv /= np.asarray(pivots)[:, None]
+    for k in range(m - 2, -1, -1):
+        inv[k] -= ell[k] * inv[k + 1]
+    y = np.eye(m)[0]
+    lam = alpha[0]
+    for _ in range(MAX_INVERSE_ITERATIONS):
+        z = np.einsum("ij,j->i", inv, y)  # einsum: no BLAS call
+        zz = inner(z, z)
+        lam_new = inner(z, y) / zz
+        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+            return lam_new
+        lam = lam_new
+        y = z / math.sqrt(zz)
+    return lam
+
+
 def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
                              tol: float = 1e-6) -> float:
-    """Smallest generalized Rayleigh quotient x'Ax/x'Bx subject to x'Bc = 0.
+    """Value of the inverse iteration for the smallest generalized Rayleigh
+    quotient x'Ax/x'Bx subject to x'Bc = 0.
 
-    Inverse iteration (shift 0) with the constraint re-imposed every step
-    by B-orthogonal deflation of c, each step one exact solve with A; it
-    stops when the quotient moves by at most tol relative, or after
-    MAX_INVERSE_ITERATIONS steps.  The solves come from a single
-    ``factor(A)``, or, below order DENSE_EIG_ORDER, from one dense
-    ``eigh``: A = V diag(w) V', a solve being V ((V'b) / w).  Where A's
-    inertia (the negative pivots, or the negative w) shows it is not
-    positive definite on the constraint subspace, the gap is reported as
-    non-positive; a singular A (or projected operator) raises NumericsError.
+    The iteration (shift 0, from a projected random start, stopping when
+    the quotient moves by at most tol relative or after
+    MAX_INVERSE_ITERATIONS steps) is run on the tridiagonal T of the
+    Lanczos process for B^-1 A on {x'Bc = 0} in the B inner product: the
+    steps take only solves with B (``solver(B)``, the sine transform on the
+    unit square's stiffness), and A is never factored.  Lanczos stops when
+    that value moves by at most 1e-12 relative between checks every 8
+    steps, on an invariant subspace, or at n - 1 steps; reaching
+    MAX_LANCZOS_STEPS first raises NumericsError.  The smallest eigenvalue
+    of T, which is the exact constrained minimum once Lanczos has converged,
+    is not what is returned: the iteration's value can sit above it (a
+    step cap or a false plateau).  A non-positive pivot of T shows A is not
+    positive definite on the subspace, and the start quotient, clipped to
+    at most 0, is returned.  B must be symmetric positive definite.
     """
     c = np.asarray(c, dtype=np.float64)
     n = _order(A)
@@ -228,7 +260,6 @@ def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
         raise DimensionError("inconsistent dimensions in constrained eigensolve")
     if n < 2:
         raise DimensionError("constraint subspace is trivial for n < 2")
-    # Checked before factoring: SuperLU reports a NaN pivot as "exactly singular".
     for name, M in (("A", A), ("B", B)):
         if not np.isfinite(M.data).all():
             M = sp.coo_matrix(M)
@@ -239,69 +270,57 @@ def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
     if bad.size:
         raise NumericsError(f"constrained eigensolve: non-finite entry "
                             f"c[{bad[0]}] = {c[bad[0]]}")
-    # Inner products go through assembly.inner: BLAS ddot would wake
-    # OpenBLAS's thread pool from 10 000 entries on.
+    # Inner products go through assembly.inner, and the basis products
+    # through einsum: BLAS would wake OpenBLAS's thread pool on long vectors.
     Bc = B @ c
     cBc = inner(c, Bc)
     if cBc <= 0.0:
         raise NumericsError("constraint vector is B-degenerate")
 
     def project(x: np.ndarray) -> np.ndarray:
+        """The B-orthogonal projection onto {x'Bc = 0}."""
         return x - (inner(x, Bc) / cBc) * c
 
     rng = np.random.default_rng(0)
     x = project(rng.standard_normal(n))
-    Bx = B @ x
-    bnorm = float(np.sqrt(max(inner(x, Bx), 0.0)))
+    bnorm = math.sqrt(max(inner(x, B @ x), 0.0))
     if bnorm == 0.0:
         raise NumericsError("deflated start vector vanished")
-    x /= bnorm
-    Bx /= bnorm
-    lam = inner(x, A @ x)
-
-    if n < DENSE_EIG_ORDER:
-        w, V = np.linalg.eigh(A.toarray())
-        if np.any(w == 0.0):
-            raise NumericsError("dense eigendecomposition: A is exactly singular")
-        negative = int(np.count_nonzero(w < 0.0))
-        symmetric = True
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            return V @ ((V.T @ b) / w)
-    else:
-        lu = factor(A)
-        negative = int(np.count_nonzero(lu.U.diagonal() < 0.0))
-        symmetric = np.array_equal(lu.perm_r, lu.perm_c)
-        solve = lu.solve
-    # [[A, Bc], [Bc', 0]] has the inertia of A plus that of -(Bc)'A^-1(Bc)
-    # (Haynsworth), and that of A on {x'Bc = 0} plus one + and one -: A is
-    # definite there iff it has no negative pivot (eigenvalue), or one with
-    # (Bc)'A^-1(Bc) < 0.  SuperLU's pivots give A's inertia only where its
-    # row and column permutations agree.
-    definite = symmetric and (
-        negative == 0 or (negative == 1 and inner(Bc, solve(Bc)) < 0.0))
-    if not definite:
-        return min(lam, 0.0)
-
-    # A step solves A y - alpha c = project(B x) with y'Bc = 0:
-    # y = z1 - ((Bc)'z1 / (Bc)'z2) z2, z1 = A^-1 project(B x), z2 = A^-1 c.
-    # B x is carried over from the step before, as B y / |y|_B.
-    z2 = solve(c)
-    s = inner(Bc, z2)
-    if s == 0.0:
-        raise NumericsError("projected operator is singular on the constraint subspace")
-
-    for _ in range(MAX_INVERSE_ITERATIONS):
-        z1 = solve(project(Bx))
-        y = project(z1 - (inner(Bc, z1) / s) * z2)
-        By = B @ y
-        ynorm = float(np.sqrt(max(inner(y, By), 0.0)))
-        if ynorm == 0.0 or not np.isfinite(ynorm):
-            return min(lam, 0.0)
-        x = y / ynorm
-        Bx = By / ynorm
-        lam_new = inner(x, A @ x) / inner(x, Bx)
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    return lam
+    steps = min(n - 1, MAX_LANCZOS_STEPS)
+    Q = np.empty((min(steps, 32), n))  # the B-orthonormal basis, by rows
+    Q[0] = x / bnorm
+    solve = solver(B)
+    alpha, beta, pivots = [], [], []
+    checked = None
+    for m in range(1, steps + 1):
+        q = Q[m - 1]
+        Aq = A @ q
+        alpha.append(inner(q, Aq))
+        pivots.append(alpha[-1] - (beta[-1] ** 2 / pivots[-1] if beta else 0.0))
+        if pivots[-1] <= 0.0:
+            return min(alpha[0], 0.0)
+        if m == n - 1:
+            break
+        if m % 8 == 0:
+            value = _inverse_iteration(alpha, beta, pivots, tol)
+            if checked is not None and abs(value - checked) <= 1e-12 * abs(value):
+                return value
+            checked = value
+        if m == MAX_LANCZOS_STEPS:
+            raise NumericsError(f"constrained eigensolve: no convergence in "
+                                f"{MAX_LANCZOS_STEPS} Lanczos steps")
+        # The constraint is imposed again after the reorthogonalization:
+        # without it c's component grows from step to step.
+        w = project(solve(Aq))
+        for _ in range(2):
+            h = np.einsum("ij,j->i", Q[:m], B @ w)
+            w -= np.einsum("i,ij->j", h, Q[:m])
+        w = project(w)
+        b = math.sqrt(max(inner(w, B @ w), 0.0))
+        if b <= 1e-12 * abs(alpha[-1]):  # an invariant subspace
+            break
+        beta.append(b)
+        if m == len(Q):
+            Q = np.concatenate([Q, np.empty((min(len(Q), steps - m), n))])
+        Q[m] = w / b
+    return _inverse_iteration(alpha, beta, pivots, tol)

@@ -94,12 +94,8 @@ def test_gap_leaves_blas_thread_pool_idle(thread_ticks):
     # from which OpenBLAS splits ddot across its pool.
     mesh = build_unit_square(7)
     sol = solve_extremal(mesh, MinimizerConfig(p=4.0))
-    # Loading scipy's own OpenBLAS (with the first factorization, which the
-    # square's descent no longer makes) starts its pool, whose worker spins
-    # once at start-up: do that outside the count.  The warm-up gap is L3's,
-    # 49 unknowns: L2's 9 take the dense eigendecomposition and never factor.
-    coarse = build_unit_square(3)
-    nondegeneracy_gap(coarse, solve_extremal(coarse, MinimizerConfig(p=4.0)), 4.0)
+    # The gap on the square neither factors nor calls BLAS, so nothing loads
+    # scipy's own OpenBLAS here, whose worker spins once at start-up.
     time.sleep(0.5)  # workers woken before this test go back to sleep
     own0, other0 = thread_ticks()
     report = nondegeneracy_gap(mesh, sol, 4.0)

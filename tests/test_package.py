@@ -60,11 +60,20 @@ solve_extremal(build_unit_square(3), MinimizerConfig(p=4.0))
 
 
 def test_paper_protocol_loads_no_lazy_module():
-    # The fixed-step protocol takes one gap, at L2: its 9 unknowns go through
-    # one dense eigendecomposition, not a factorization.
+    # The fixed-step protocol takes one gap, at L2, by sine transforms.
     code = """
 from laneemden import MinimizerConfig, run_study
 run_study(11, 6, MinimizerConfig(p=11, iters_fixed=60), scaling="unit-norm")
+"""
+    assert _lazy_modules_loaded(code) == []
+
+
+def test_study_on_the_square_loads_no_lazy_module():
+    # Its gaps at L2-L4 take only solves with the stiffness, by sine
+    # transforms: the linearized operator is never factored.
+    code = """
+from laneemden import run_study
+run_study(4, 4)
 """
     assert _lazy_modules_loaded(code) == []
 

@@ -310,27 +310,43 @@ def test_eig_indefinite_operator_definite_on_subspace():
     assert smallest_eig_constrained(A, B, e1) == pytest.approx(2.0, rel=1e-5)
 
 
-@pytest.mark.parametrize("A, B", [
-    (np.diag([0.0, 1.0, 2.0]), np.eye(3)),
-    (np.diag([1.0, 0.0, 2.0]), np.eye(3)),
-    # A and B are SPD, but A^-1 c is B-orthogonal to c: the projected
-    # operator of the inverse iteration is singular on the subspace
-    (np.array([[4.0, 1.0], [1.0, 0.5]]), np.array([[1.0, 0.5], [0.5, 1.0]])),
-])
-def test_eig_singular_operator_raises(A, B):
+@pytest.mark.parametrize("A, B, want", [
+    # A is singular on the constrained-out direction only: minimum 1
+    (np.diag([0.0, 1.0, 2.0]), np.eye(3), 1.0),
+    # ... and on the subspace: minimum 0
+    (np.diag([1.0, 0.0, 2.0]), np.eye(3), 0.0),
+    # A and B are SPD, but A^-1 c is B-orthogonal to c; the subspace is
+    # one-dimensional, with quotient 2/3
+    (np.array([[4.0, 1.0], [1.0, 0.5]]), np.array([[1.0, 0.5], [0.5, 1.0]]), 2.0 / 3.0),
+], ids=["A0-B0", "A1-B1", "A2-B2"])
+def test_eig_singular_operator_raises(A, B, want):
+    # A singular operator is no failure of the method, which never solves
+    # with A: the gap is the constrained minimum (the name is the old
+    # contract's, when these raised NumericsError).
     c = np.eye(A.shape[0])[0]
-    with pytest.raises(NumericsError, match="singular"):
-        smallest_eig_constrained(sp.csr_matrix(A), sp.csr_matrix(B), c)
+    A, B = sp.csr_matrix(A), sp.csr_matrix(B)
+    assert _dense_constrained_min(A, B, c) == pytest.approx(want, abs=1e-12)
+    assert smallest_eig_constrained(A, B, c) == pytest.approx(want, rel=1e-5, abs=1e-12)
 
 
-def _quartic_gap_operators(level, weight=1.0):
-    """A = K - weight (p-1) W, B = K and c = U on the interior, p = 4."""
-    p = 4.0
-    m = build_unit_square(level)
+def _gap_operators(m, p, weight=1.0):
+    """A = K - weight (p-1) W, B = K and c = U on the interior of the mesh m."""
     sol = solve_extremal(m, MinimizerConfig(p=p))
     W = assemble_weighted_mass(m, sol.field, p - 2.0)
     K = m.interior_stiffness
     return K - weight * (p - 1.0) * restrict_interior(W, m), K, sol.field[m.interior]
+
+
+def _quartic_gap_operators(level, weight=1.0):
+    """The gap operators of the unit square at level, p = 4."""
+    return _gap_operators(build_unit_square(level), 4.0, weight)
+
+
+def _hexagon(hexagon_text, refinements):
+    m = mesh_from_tokens(hexagon_text(0.3).split())
+    for _ in range(refinements):
+        m = refine_uniform(m)
+    return m
 
 
 def _dense_constrained_min(A, B, c):
@@ -356,7 +372,8 @@ class _Projected(spla.LinearOperator):
 
 def _krylov_inverse_iteration(A, B, c, tol=1e-6, max_iter=200):
     """The eigensolver as it was before the factorization: the same inverse
-    iteration, each projected step solved by Jacobi conjugate residuals."""
+    iteration, each projected step solved by Jacobi conjugate residuals to
+    1e-12 (at 1e-8, 200 steps at the p = 4 L5 gap drift by 2e-8 relative)."""
     n = A.shape[0]
     Bc = B @ c
     cBc = float(c @ Bc)
@@ -368,7 +385,7 @@ def _krylov_inverse_iteration(A, B, c, tol=1e-6, max_iter=200):
     x /= float(np.sqrt(x @ (B @ x)))
     lam = float(x @ (A @ x))
     for _ in range(max_iter):
-        y, _ = cg_solve(_Projected(A, project), project(B @ x), tol=min(tol, 1e-8))
+        y, _ = cg_solve(_Projected(A, project), project(B @ x), tol=1e-12)
         y = project(y)
         x = y / float(np.sqrt(y @ (B @ y)))
         lam_new = float(x @ (A @ x)) / float(x @ (B @ x))
@@ -387,32 +404,60 @@ def test_eig_indefinite_on_subspace_reports_nonpositive():
     assert smallest_eig_constrained(A, B, c) <= 0.0
 
 
-def test_eig_one_factorization_and_no_krylov_solve(monkeypatch):
-    calls = {"splu": 0, "cg": 0}
+def test_eig_one_factorization_and_no_krylov_solve(monkeypatch, hexagon_text):
+    # The gap solves only with B: by sine transforms on the square, with
+    # one factorization of B elsewhere.  A is never factored.
+    factored, cg_calls = [], []
     real_splu, real_cg = spla.splu, sparse.cg_solve
 
-    def counting_splu(*args, **kwargs):
-        calls["splu"] += 1
-        return real_splu(*args, **kwargs)
+    def counting_splu(M, *args, **kwargs):
+        factored.append(M)
+        return real_splu(M, *args, **kwargs)
 
     def counting_cg(*args, **kwargs):
-        calls["cg"] += 1
+        cg_calls.append(args)
         return real_cg(*args, **kwargs)
 
-    A, B, c = _quartic_gap_operators(3)
+    square = _quartic_gap_operators(3)
+    hexagon = _gap_operators(_hexagon(hexagon_text, 2), 4.0)
     monkeypatch.setattr(spla, "splu", counting_splu)
     monkeypatch.setattr(sparse, "cg_solve", counting_cg)
+    assert smallest_eig_constrained(*square) > 0.0
+    assert factored == [] and cg_calls == []
+    A, B, c = hexagon
     assert smallest_eig_constrained(A, B, c) > 0.0
-    assert calls == {"splu": 1, "cg": 0}
+    assert len(factored) == 1 and (factored[0] != B.T).nnz == 0 and cg_calls == []
+
+
+def _assert_matches_krylov_inverse_iteration(A, B, c):
+    gap = smallest_eig_constrained(A, B, c)
+    assert gap == pytest.approx(_krylov_inverse_iteration(A, B, c), rel=1e-9)
+    # a Rayleigh quotient on the subspace bounds its minimum from above
+    assert gap >= _dense_constrained_min(A, B, c) - 1e-9
 
 
 @pytest.mark.parametrize("level", [2, 3, 4, 5])
 def test_eig_matches_krylov_inverse_iteration(level):
-    A, B, c = _quartic_gap_operators(level)
-    gap = smallest_eig_constrained(A, B, c)
-    assert gap == pytest.approx(_krylov_inverse_iteration(A, B, c), rel=1e-7)
-    # a Rayleigh quotient on the subspace bounds its minimum from above
-    assert gap >= _dense_constrained_min(A, B, c) - 1e-9
+    _assert_matches_krylov_inverse_iteration(*_quartic_gap_operators(level))
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_eig_matches_krylov_inverse_iteration_p11(level):
+    _assert_matches_krylov_inverse_iteration(*_gap_operators(build_unit_square(level), 11.0))
+
+
+@pytest.mark.parametrize("refinements", [1, 2, 3])
+def test_eig_matches_krylov_inverse_iteration_on_hexagon(hexagon_text, refinements):
+    _assert_matches_krylov_inverse_iteration(
+        *_gap_operators(_hexagon(hexagon_text, refinements), 4.0))
+
+
+def test_eig_lanczos_step_cap_raises(monkeypatch):
+    # The L4 gap takes 24 Lanczos steps: an unconverged value is never returned.
+    A, B, c = _quartic_gap_operators(4)
+    monkeypatch.setattr(sparse, "MAX_LANCZOS_STEPS", 2)
+    with pytest.raises(NumericsError, match="2 Lanczos steps"):
+        smallest_eig_constrained(A, B, c)
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -451,7 +496,7 @@ def _study_l2_gap(monkeypatch, workload, p, config):
 
 def _hexagon_gap(monkeypatch, hexagon_text):
     calls = _spy_gap_operators(monkeypatch)
-    mesh = refine_uniform(mesh_from_tokens(hexagon_text(0.3).split()))
+    mesh = _hexagon(hexagon_text, 1)
     diagnostics.nondegeneracy_gap(mesh, solve_extremal(mesh, MinimizerConfig(p=4.0)), 4.0)
     assert len(calls) == 1 and calls[0][0].shape == (7, 7)
     return calls[0], None
@@ -477,20 +522,23 @@ SMALL_GAP_CASES = {
 
 @pytest.mark.parametrize("name", list(SMALL_GAP_CASES))
 def test_eig_dense_branch_matches_factor(monkeypatch, hexagon_text, name):
-    # Below DENSE_EIG_ORDER one dense eigh replaces the factorization; the
-    # inverse iteration is shared, so both give the same gap and decision.
+    # The small gaps once took a dense eigendecomposition of A (the name is
+    # from then).  On every case the Lanczos emulation gives the inverse
+    # iteration's value and its decision: where the iteration's conjugate
+    # residuals meet non-positive curvature, A is not positive definite on
+    # the subspace, and the gap must not be positive.
     (A, B, c), reference = SMALL_GAP_CASES[name](monkeypatch, hexagon_text)
-    assert A.shape[0] < sparse.DENSE_EIG_ORDER
-    orders = _counting_factor(monkeypatch)
-    dense = smallest_eig_constrained(A, B, c)
-    assert orders == []
-    monkeypatch.setattr(sparse, "DENSE_EIG_ORDER", 0)
-    lu = smallest_eig_constrained(A, B, c)
-    assert orders == [A.shape[0]]
-    assert (dense > 0.0) == (lu > 0.0)
-    assert dense == pytest.approx(lu, rel=1e-12, abs=0.0)
+    gap = smallest_eig_constrained(A, B, c)
+    try:
+        krylov = _krylov_inverse_iteration(A, B, c)
+    except NumericsError as e:
+        assert "non-positive curvature" in str(e)
+        assert gap <= 0.0
+    else:
+        assert gap > 0.0 and krylov > 0.0
+        assert gap == pytest.approx(krylov, rel=1e-9, abs=0.0)
     if reference is not None:
-        assert dense > 0.0 and abs(dense - reference) <= _bench_gap_rtol() * reference
+        assert gap > 0.0 and abs(gap - reference) <= _bench_gap_rtol() * reference
 
 
 def test_eig_non_finite_operator_named():

@@ -26,8 +26,8 @@ def test_study_footprint_prints_one_json_line():
     record = _study_footprint(3)
     assert record["p"] == 4.0 and record["levels"] == 3
     assert record["wall_s"] > 0.0 and record["cpu_s"] > 0.0
-    # the L3 gap (49 unknowns) factors, which imports scipy.sparse.linalg
-    assert record["lazy"] == ["scipy.sparse.linalg", "scipy.linalg"]
+    # the gaps on the square solve by sine transforms: nothing is factored
+    assert record["lazy"] == []
     assert 0.0 < record["setup_maxrss_mb"] <= record["maxrss_mb"]
     assert math.isfinite(record["rate_l2"]) and math.isfinite(record["rate_h1"])
     # every row's c_h and step count, as run_study computes them here
@@ -37,7 +37,7 @@ def test_study_footprint_prints_one_json_line():
 
 
 def test_study_footprint_lazy_is_empty_without_a_factorization():
-    # run_study(4, 2) takes one gap, at L2: 9 unknowns, one dense eigendecomposition
+    # run_study(4, 2) takes one gap, at L2: 9 unknowns, solved by sine transforms
     record = _study_footprint(2)
     assert record["lazy"] == []
 
