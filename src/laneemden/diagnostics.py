@@ -35,11 +35,12 @@ def nondegeneracy_gap(mesh: Mesh, solution: ExtremalSolution, p: float,
     A positive gap is the discrete counterpart of non-degeneracy of the
     minimizer; W is the mass matrix weighted by |U|^(p-2), integrated with
     the quadrature rule of degree quad_degree.  The value is that of the
-    capped inverse iteration, emulated on a Lanczos tridiagonal, which can
-    sit above the exact minimum (a 200-step cap, a false plateau); the
-    tridiagonal's smallest eigenvalue, the exact minimum once Lanczos has
-    converged, is not returned.  A non-positive gap means K - (p-1) W is not
-    positive definite on the complement.
+    capped inverse iteration, emulated from the eigenpairs of a Lanczos
+    tridiagonal, which can sit above the exact minimum (a 200-step cap, a
+    false plateau); the tridiagonal's smallest eigenvalue, the exact minimum
+    once Lanczos has converged, is not returned.  A non-positive gap means
+    that eigenvalue is not positive: K - (p-1) W is not positive definite
+    on the complement.
     """
     if mesh.interior.size < 2:  # the constraint leaves no subspace
         raise ConfigError(f"a gap needs at least 2 interior vertices; level "

@@ -204,34 +204,26 @@ def solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
     return factor(A).solve if n is None else _sine_solve(n)
 
 
-def _inverse_iteration(alpha: list, beta: list, pivots: list, tol: float) -> float:
+def _inverse_iteration(alpha: list, beta: list, tol: float) -> float:
     """Value of the inverse iteration of ``smallest_eig_constrained``, run
     from e1 on the Lanczos tridiagonal T (``alpha`` on the diagonal, ``beta``
-    beside it); ``pivots`` are the positive pivots d of T = L D L'.
+    beside it), or min(alpha[0], 0) when T is not positive definite.
 
-    T^-1 = L^-T D^-1 L^-1 is formed by row operations on the identity, and
-    a step z = T^-1 y has the quotient z'Tz / z'z = z'y / z'z.  The stop
-    rule and the step cap are those of the iteration on the full operator.
+    Step k's iterate is T^-k e1, normalized, so its quotient depends only on
+    the moments e1'T^-j e1 = sum_i w_i / theta_i^j, with theta_i the
+    eigenvalues of T and w_i the squared first components of its
+    eigenvectors: lambda_k = theta_1 sum w r^(2k-1) / sum w r^(2k), with
+    r_i = theta_1 / theta_i <= 1, and lambda_0 = alpha[0].  The stop rule and
+    the step cap are those of the iteration on the full operator.
     """
-    m = len(alpha)
-    ell = np.divide(beta[:m - 1], pivots[:m - 1])  # L's subdiagonal
-    inv = np.eye(m)
-    for k in range(1, m):
-        inv[k] -= ell[k - 1] * inv[k - 1]
-    inv /= np.asarray(pivots)[:, None]
-    for k in range(m - 2, -1, -1):
-        inv[k] -= ell[k] * inv[k + 1]
-    y = np.eye(m)[0]
-    lam = alpha[0]
-    for _ in range(MAX_INVERSE_ITERATIONS):
-        z = np.einsum("ij,j->i", inv, y)  # einsum: no BLAS call
-        zz = inner(z, z)
-        lam_new = inner(z, y) / zz
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-        y = z / math.sqrt(zz)
-    return lam
+    theta, V = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    if theta[0] <= 0.0:
+        return min(alpha[0], 0.0)
+    powers = (theta[0] / theta) ** np.arange(1, 2 * MAX_INVERSE_ITERATIONS + 1)[:, None]
+    moments = np.einsum("kj,j->k", powers, V[0] ** 2)
+    lam = np.r_[alpha[0], theta[0] * moments[0::2] / moments[1::2]]
+    settled = np.abs(np.diff(lam)) <= tol * np.maximum(np.abs(lam[1:]), 1e-300)
+    return float(lam[1 + np.argmax(settled)] if settled.any() else lam[-1])
 
 
 def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
@@ -241,16 +233,18 @@ def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
 
     The iteration (shift 0, from a projected random start, stopping when
     the quotient moves by at most tol relative or after
-    MAX_INVERSE_ITERATIONS steps) is run on the tridiagonal T of the
+    MAX_INVERSE_ITERATIONS steps) is emulated on the tridiagonal T of the
     Lanczos process for B^-1 A on {x'Bc = 0} in the B inner product: the
-    steps take only solves with B (``solver(B)``, the sine transform on the
-    unit square's stiffness), and A is never factored.  Lanczos stops when
-    that value moves by at most 1e-12 relative between checks every 8
-    steps, on an invariant subspace, or at n - 1 steps; reaching
-    MAX_LANCZOS_STEPS first raises NumericsError.  The smallest eigenvalue
-    of T, which is the exact constrained minimum once Lanczos has converged,
-    is not what is returned: the iteration's value can sit above it (a
-    step cap or a false plateau).  A non-positive pivot of T shows A is not
+    Lanczos steps take only solves with B (``solver(B)``, the sine
+    transform on the unit square's stiffness), and A is never factored.
+    Every quotient of the iteration follows from one symmetric
+    eigendecomposition of T.  Lanczos stops when that value moves by at
+    most 1e-12 relative between checks every 8 steps, on an invariant
+    subspace, or at n - 1 steps; reaching MAX_LANCZOS_STEPS first raises
+    NumericsError.  The smallest eigenvalue theta_1 of T, which is the
+    exact constrained minimum once Lanczos has converged, is not what is
+    returned: the iteration's value can sit above it (a step cap or a
+    false plateau).  theta_1 <= 0 at a check or at the end shows A is not
     positive definite on the subspace, and the start quotient, clipped to
     at most 0, is returned.  B must be symmetric positive definite.
     """
@@ -290,20 +284,17 @@ def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
     Q = np.empty((min(steps, 32), n))  # the B-orthonormal basis, by rows
     Q[0] = x / bnorm
     solve = solver(B)
-    alpha, beta, pivots = [], [], []
-    checked = None
+    alpha, beta = [], []
+    checked = math.nan  # no value settles against the first check
     for m in range(1, steps + 1):
         q = Q[m - 1]
         Aq = A @ q
         alpha.append(inner(q, Aq))
-        pivots.append(alpha[-1] - (beta[-1] ** 2 / pivots[-1] if beta else 0.0))
-        if pivots[-1] <= 0.0:
-            return min(alpha[0], 0.0)
         if m == n - 1:
             break
         if m % 8 == 0:
-            value = _inverse_iteration(alpha, beta, pivots, tol)
-            if checked is not None and abs(value - checked) <= 1e-12 * abs(value):
+            value = _inverse_iteration(alpha, beta, tol)
+            if value <= 0.0 or abs(value - checked) <= 1e-12 * value:
                 return value
             checked = value
         if m == MAX_LANCZOS_STEPS:
@@ -323,4 +314,4 @@ def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
         if m == len(Q):
             Q = np.concatenate([Q, np.empty((min(len(Q), steps - m), n))])
         Q[m] = w / b
-    return _inverse_iteration(alpha, beta, pivots, tol)
+    return _inverse_iteration(alpha, beta, tol)

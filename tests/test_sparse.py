@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from laneemden.assembly import (
     assemble_mass,
     assemble_stiffness,
     assemble_weighted_mass,
+    inner,
     load_vector,
     restrict_interior,
 )
@@ -398,10 +400,113 @@ def _krylov_inverse_iteration(A, B, c, tol=1e-6, max_iter=200):
 def test_eig_indefinite_on_subspace_reports_nonpositive():
     # doubling the weight makes A indefinite on the constraint subspace;
     # inverse iteration alone would converge to an eigenvalue near 0 of
-    # either sign, so the pivots must flag it
+    # either sign, so the sign of the Lanczos tridiagonal's smallest
+    # eigenvalue must flag it
     A, B, c = _quartic_gap_operators(3, weight=2.0)
     assert _dense_constrained_min(A, B, c) < -0.1
     assert smallest_eig_constrained(A, B, c) <= 0.0
+
+
+def _start_quotient(A, B, c):
+    """x0'Ax0 / x0'Bx0 of the eigensolver's start x0: default_rng(0), projected."""
+    Bc = B @ c
+    x = np.random.default_rng(0).standard_normal(len(c))
+    x -= (x @ Bc) / (c @ Bc) * c
+    return (x @ (A @ x)) / (x @ (B @ x))
+
+
+def _late_indefinite_case():
+    """A pencil that Lanczos finds indefinite on the subspace only after its
+    first check (8 steps): its 1e-6 B-weight direction has quotient -1e-3."""
+    n = 60
+    b = np.r_[1e-6, np.ones(n - 1)]
+    a = b * np.r_[-1e-3, 1.0 + np.linspace(0.0, 1.0, n - 2), 5.0]
+    return sp.csr_matrix(np.diag(a)), sp.csr_matrix(np.diag(b)), np.eye(n)[-1]
+
+
+@pytest.mark.parametrize("case, checks", [
+    (lambda: (sp.csr_matrix(np.diag([1.0, -2.0, -3.0])), sp.csr_matrix(np.eye(3)),
+              np.eye(3)[0]), 0),
+    (_late_indefinite_case, 2),
+], ids=["negative definite", "indefinite after a check"])
+def test_eig_indefinite_returns_clipped_start_quotient(monkeypatch, case, checks):
+    # The value is the start quotient clipped to at most 0, whichever check
+    # (or the end of Lanczos) finds T not positive definite.
+    A, B, c = case()
+    values = []
+    real = sparse._inverse_iteration
+
+    def spy(alpha, beta, tol):
+        values.append(real(alpha, beta, tol))
+        return values[-1]
+
+    monkeypatch.setattr(sparse, "_inverse_iteration", spy)
+    gap = smallest_eig_constrained(A, B, c)
+    assert gap == pytest.approx(min(_start_quotient(A, B, c), 0.0), rel=1e-14, abs=0.0)
+    if checks:  # positive at the first check, clipped at the next
+        assert len(values) == checks and values[0] > 0.0 and values[-1] == gap == 0.0
+
+
+def _row_op_inverse_iteration(alpha, beta, tol):
+    """The emulated inverse iteration as first written, kept as the
+    reference: T^-1 formed from T's LDL' pivots by row operations, then
+    stepped from e1.  Returns the value and the number of steps taken."""
+    m = len(alpha)
+    pivots = [alpha[0]]
+    for k in range(1, m):
+        pivots.append(alpha[k] - beta[k - 1] ** 2 / pivots[-1])
+    ell = np.divide(beta[:m - 1], pivots[:m - 1])  # L's subdiagonal
+    inv = np.eye(m)
+    for k in range(1, m):
+        inv[k] -= ell[k - 1] * inv[k - 1]
+    inv /= np.asarray(pivots)[:, None]
+    for k in range(m - 2, -1, -1):
+        inv[k] -= ell[k] * inv[k + 1]
+    y = np.eye(m)[0]
+    lam = alpha[0]
+    for step in range(1, sparse.MAX_INVERSE_ITERATIONS + 1):
+        z = np.einsum("ij,j->i", inv, y)
+        zz = inner(z, z)
+        lam_new = inner(z, y) / zz
+        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+            return lam_new, step
+        lam = lam_new
+        y = z / math.sqrt(zz)
+    return lam, sparse.MAX_INVERSE_ITERATIONS
+
+
+def _random_tridiagonal(m):
+    """A diagonally dominant, so positive definite, tridiagonal of order m."""
+    rng = np.random.default_rng(m)
+    beta = rng.uniform(0.1, 1.0, m - 1)
+    alpha = 0.1 + rng.random(m) + np.r_[0.0, beta] + np.r_[beta, 0.0]
+    return alpha.tolist(), beta.tolist()
+
+
+def _two_by_two(theta, w1):
+    """The 2 x 2 tridiagonal with eigenvalues theta whose eigenvectors have
+    squared first components w1 and 1 - w1."""
+    (t1, t2), w2 = theta, 1.0 - w1
+    return [w1 * t1 + w2 * t2, w2 * t1 + w1 * t2], [math.sqrt(w1 * w2) * (t2 - t1)]
+
+
+TRIDIAGONALS = {
+    **{f"random {m}": (lambda m=m: _random_tridiagonal(m), None) for m in (1, 2, 8, 24, 64)},
+    # theta_2 / theta_1 of the p = 4 L5 gap: the iteration runs to its cap
+    "ratio 1.0086": (lambda: _two_by_two((0.2219973, 0.2219973 * 1.0086), 0.5),
+                     sparse.MAX_INVERSE_ITERATIONS),
+    # a false plateau: the first step moves the quotient by about 1e-11
+    "start weight 1e-12": (lambda: _two_by_two((0.2, 1.0), 1e-12), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(TRIDIAGONALS))
+def test_inverse_iteration_matches_row_operations(name):
+    build, steps = TRIDIAGONALS[name]
+    alpha, beta = build()
+    want, taken = _row_op_inverse_iteration(alpha, beta, 1e-6)
+    assert taken == steps if steps else taken < sparse.MAX_INVERSE_ITERATIONS
+    assert sparse._inverse_iteration(alpha, beta, 1e-6) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_eig_one_factorization_and_no_krylov_solve(monkeypatch, hexagon_text):

@@ -34,6 +34,9 @@ def test_study_footprint_prints_one_json_line():
     rows = run_study(4.0, 3)
     assert record["c_h"] == [r.c_h for r in rows]
     assert record["iters"] == [r.iters for r in rows] and all(n >= 1 for n in record["iters"])
+    # and every row's gap: none on L1 (one interior vertex), positive after
+    assert record["gap"] == [r.gap for r in rows]
+    assert record["gap"][0] is None and all(g > 0.0 for g in record["gap"][1:])
 
 
 def test_study_footprint_lazy_is_empty_without_a_factorization():

@@ -6,9 +6,10 @@ Imports laneemden from this checkout's ``src/``, runs ``run_study(p, levels)``
 with the default settings and prints one JSON line: the study's wall and CPU
 seconds (``getrusage``, all threads), the process's ``ru_maxrss`` in MB after
 the imports and after the study, the last row's L2 and H1 rates, every row's
-``c_h`` and descent steps (``iters``), so that runs of two checkouts show
-whether they computed the same numbers, and the modules of ``LAZY`` loaded
-after the study (``lazy``), which show whether a gap factored.
+``c_h``, descent steps (``iters``) and ``gap`` (null where no gap is
+taken), so that runs of two checkouts show whether they computed the same
+numbers, and the modules of ``LAZY`` loaded after the study (``lazy``),
+which show whether a gap factored.
 ``ru_maxrss`` is a high-water mark of the whole process, so run one study per
 command.
 """
@@ -63,6 +64,7 @@ def main(argv=None) -> int:
         "rate_h1": last.rate_h1,
         "c_h": [r.c_h for r in rows],
         "iters": [r.iters for r in rows],
+        "gap": [r.gap for r in rows],
         "lazy": [m for m in LAZY if m in sys.modules],
     }))
     return 0
