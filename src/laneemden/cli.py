@@ -178,11 +178,10 @@ def _run(args) -> int:
         return EXIT_OK
 
     if args.command == "study":
-        if args.domain != "unit-square":
-            raise ConfigError(f"study supports only --domain unit-square, got {args.domain!r}")
         config = _config_from_args(args)
         rows = run_study(args.p, args.levels, config, scaling=args.scaling,
-                         progress=lambda msg: print(msg, file=sys.stderr))
+                         progress=lambda msg: print(msg, file=sys.stderr),
+                         coarse=_load_domain(args.domain, 0))
         csv_text = rows_to_csv(rows)
         path = Path(args.out_dir) / f"study_p{args.p:g}_j{args.levels}_{_stamp()}.csv"
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -199,8 +198,11 @@ def _run(args) -> int:
             print(f"warning: levels {', '.join(map(str, unconverged))} did not "
                   f"stagnate within --max-iters; their rows are unreliable",
                   file=sys.stderr)
-            return EXIT_NUMERICAL
-        return EXIT_OK
+        saddles = [str(r.j) for r in rows if r.gap is not None and r.gap <= 0.0]
+        if saddles:
+            print(f"warning: levels {', '.join(saddles)} have a gap <= 0; their extremals "
+                  f"may be degenerate and their rows unreliable", file=sys.stderr)
+        return EXIT_NUMERICAL if unconverged or saddles else EXIT_OK
 
     if args.command == "poisson-check":
         if not 2 <= args.levels <= 9:  # rows j_min = max(1, levels - 4) < j_max = levels <= 9

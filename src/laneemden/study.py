@@ -22,7 +22,7 @@ GAP_MAX_LEVEL = 6  # highest coarse level of a row that gets a gap
 @dataclass
 class RateRow:
     j: int
-    h_label: float                    # 2^-j (leg length)
+    h_label: float                    # 2^-j: level j's scale relative to the coarse mesh
     err_l2: float                     # |u_j - u_{j+1}|_L2 on the fine mesh
     rate_l2: Optional[float]
     err_h1: float                     # energy seminorm of the difference
@@ -65,10 +65,16 @@ def inter_level_error(coarse_field: np.ndarray, fine_field: np.ndarray,
 
 
 def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
-              scaling: str = "lambda1",
+              scaling: str = "lambda1", coarse: Optional[Mesh] = None,
               progress: Optional[Callable[[str], None]] = None) -> List[RateRow]:
     """Solve at levels 1..j_max+1 and tabulate inter-level errors and rates.
 
+    Level j is the j-th uniform refinement of the coarse mesh (by default
+    ``build_unit_square(0)``, two triangles), so its triangles are 2^-j times
+    the coarse ones, and row j's ``h_label`` is that scale: on the unit
+    square, the leg length.  Rates read only ratios of errors, so they are
+    measured alike on any coarse mesh; the paper proves O(h^2) in L2 and
+    O(h) in H1 on convex polygons only.
     Row j compares levels j and j+1; rates need a predecessor row.  Warm
     starting (prolonging each solution up one level) is disabled in
     paper-protocol mode (iters_fixed) so every level runs the published
@@ -95,7 +101,7 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
     def pick(sol):
         return sol.field if scaling == "lambda1" else sol.normalized_field
 
-    mesh = build_unit_square(1)
+    mesh = refine_uniform(build_unit_square(0) if coarse is None else coarse)
     sol = solve(mesh)
     rows: List[RateRow] = []
     prev_l2 = prev_h1 = None

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from laneemden.mesh import (
     write_mesh,
 )
 from laneemden.minimizer import MinimizerConfig, solve_extremal
+
+TRIANGLE = Path(__file__).parent / "data" / "triangle.mesh"
 
 # Any text, plus integer and float literals, which arbitrary text rarely hits.
 TOKENS = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr))
@@ -518,14 +521,49 @@ def test_mesh_domain_level_out_of_range(tmp_path, capsys, monkeypatch, hexagon_t
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hexagon.mesh"]
 
 
-def test_study_rejects_non_square_domain(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--p", "4", "--levels", "3"],
+    ["--p", "11", "--levels", "6", "--iters-fixed", "60", "--scaling", "unit-norm"],
+], ids=["p4", "paper-p11"])
+def test_study_on_the_square_mesh_file_writes_the_same_csv(tmp_path, capsys, flags):
     mesh_path = tmp_path / "square.mesh"
     write_mesh(build_unit_square(0), mesh_path)
+    csvs = []
+    for name, domain in (("square", "unit-square"), ("file", f"mesh:{mesh_path}")):
+        out = tmp_path / name
+        assert main(["study", *flags, "--domain", domain, "--out-dir", str(out)]) == EXIT_OK
+        [csv] = out.glob("study_*.csv")
+        csvs.append(csv.read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+def test_study_without_interior_vertex_at_level_1_is_usage_error(tmp_path, capsys,
+                                                                 reference_triangle):
+    mesh_path = tmp_path / "triangle.mesh"
+    write_mesh(reference_triangle, mesh_path)
+    out = tmp_path / "out"
     code = main(["study", "--p", "4", "--levels", "2",
-                 "--domain", f"mesh:{mesh_path}", "--out-dir", str(tmp_path)])
+                 "--domain", f"mesh:{mesh_path}", "--out-dir", str(out)])
     assert code == EXIT_USAGE
-    assert len(capsys.readouterr().err.splitlines()) == 1
-    assert not list(tmp_path.glob("study_*.csv"))
+    # one line beside the progress line of the level it failed on
+    lines = [line for line in capsys.readouterr().err.splitlines()
+             if not line.startswith("solving level")]
+    assert lines == ["error: mesh has no interior vertices"]
+    assert not out.exists()
+
+
+def test_study_non_positive_gap_warns_and_exits_numerical(tmp_path, capsys):
+    # On the equilateral triangle at p = 11 the gap is -1.08 at L1 and 0.0
+    # (indefinite, clipped) at L2: the extremal may be a saddle there.
+    code = main(["study", "--p", "11", "--levels", "2", "--domain", f"mesh:{TRIANGLE}",
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    csvs = list(tmp_path.glob("study_p11_j2_*.csv"))
+    assert len(csvs) == 1 and csvs[0].read_text() == captured.out
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning")]
+    assert warnings == ["warning: levels 1, 2 have a gap <= 0; their extremals "
+                        "may be degenerate and their rows unreliable"]
 
 
 def test_study_unconverged_exit_code(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from laneemden.errors import ConfigError
-from laneemden.mesh import build_unit_square, refine_uniform
+from laneemden.mesh import build_unit_square, mesh_from_tokens, read_mesh, refine_uniform
 from laneemden.minimizer import MinimizerConfig, solve_extremal
 from laneemden.sparse import cg_solve
 from laneemden import assembly, minimizer, sparse, study
@@ -19,6 +20,17 @@ from laneemden.study import (
     rows_to_csv,
     run_study,
 )
+
+TRIANGLE = Path(__file__).parent / "data" / "triangle.mesh"
+
+
+@pytest.fixture(params=["unit-square", "hexagon"])
+def coarse(request, hexagon_text):
+    """The coarse mesh of a study: None for the default unit square, or the
+    0.3-rad hexagon, whose levels all factor their stiffness."""
+    if request.param == "unit-square":
+        return None
+    return mesh_from_tokens(hexagon_text(0.3).split())
 
 
 def test_observed_rate_table_values():
@@ -204,7 +216,7 @@ def test_run_study_passes_quad_degree_to_gap(weighted_mass_degrees):
     assert weighted_mass_degrees == [7]
 
 
-def test_run_study_assembles_stiffness_once_per_level(monkeypatch):
+def test_run_study_assembles_stiffness_once_per_level(monkeypatch, coarse):
     levels, interior = [], []
     real = assembly.assemble_stiffness
 
@@ -214,13 +226,13 @@ def test_run_study_assembles_stiffness_once_per_level(monkeypatch):
         return real(mesh, **kwargs)
 
     monkeypatch.setattr(assembly, "assemble_stiffness", counting)
-    rows = run_study(4.0, 3)
+    rows = run_study(4.0, 3, coarse=coarse)
     assert any(r.gap is not None for r in rows)  # the gap reads it too
     assert levels == [1, 2, 3, 4]
     assert all(interior)  # Mesh.interior_stiffness forms no full K
 
 
-def test_run_study_holds_one_level(monkeypatch):
+def test_run_study_holds_one_level(monkeypatch, coarse):
     meshes = []
     real = study.solve_extremal
 
@@ -231,9 +243,25 @@ def test_run_study_holds_one_level(monkeypatch):
         return real(mesh, config, u0=u0)
 
     monkeypatch.setattr(study, "solve_extremal", spy)
-    rows = run_study(4.0, 4)
+    rows = run_study(4.0, 4, coarse=coarse)
     assert any(r.gap is not None for r in rows)
     assert len(meshes) == 5
+
+
+@pytest.mark.parametrize("domain, j_max", [("hexagon", 5), ("triangle", 6)])
+def test_run_study_rates_on_convex_polygons(hexagon_text, domain, j_max):
+    # The paper's O(h^2) in L2 and O(h) in H1 hold on any convex polygon.
+    # Measured at the last two rows: on the 0.3-rad hexagon L2 1.974 and
+    # 1.994, H1 1.0014 and 0.9991; on the equilateral triangle of
+    # tests/data L2 1.985 and 1.996, H1 1.0037 and 1.0009.
+    coarse = (mesh_from_tokens(hexagon_text(0.3).split()) if domain == "hexagon"
+              else read_mesh(TRIANGLE))
+    rows = run_study(4.0, j_max, coarse=coarse)
+    assert all(r.gap is not None and r.gap > 0.0 for r in rows)
+    for r in rows[-2:]:
+        assert 1.9 <= r.rate_l2 <= 2.1
+        assert 0.95 <= r.rate_h1 <= 1.05
+        assert not r.unconverged
 
 
 def test_p11_rates_in_criterion_2_bounds_once_resolved():

@@ -7,15 +7,17 @@ from pathlib import Path
 
 import pytest
 
+from laneemden.mesh import read_mesh
 from laneemden.study import run_study
 
 ROOT = Path(__file__).resolve().parent.parent
+TRIANGLE = ROOT / "tests" / "data" / "triangle.mesh"
 
 
-def _study_footprint(levels):
+def _study_footprint(levels, *flags):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "study_footprint.py"), "--p", "4",
-         "--levels", str(levels)],
+         "--levels", str(levels), *flags],
         capture_output=True, text=True, check=True, timeout=120)
     lines = proc.stdout.splitlines()
     assert len(lines) == 1
@@ -37,6 +39,17 @@ def test_study_footprint_prints_one_json_line():
     # and every row's gap: none on L1 (one interior vertex), positive after
     assert record["gap"] == [r.gap for r in rows]
     assert record["gap"][0] is None and all(g > 0.0 for g in record["gap"][1:])
+
+
+def test_study_footprint_runs_the_coarse_mesh_of_its_domain():
+    record = _study_footprint(3, "--domain", f"mesh:{TRIANGLE}")
+    assert record["domain"] == f"mesh:{TRIANGLE}"
+    rows = run_study(4.0, 3, coarse=read_mesh(TRIANGLE))
+    assert record["c_h"] == [r.c_h for r in rows]
+    assert record["iters"] == [r.iters for r in rows]
+    assert record["gap"] == [r.gap for r in rows] and all(g > 0.0 for g in record["gap"])
+    # off the square the descent factors its stiffness
+    assert "scipy.sparse.linalg" in record["lazy"]
 
 
 def test_study_footprint_lazy_is_empty_without_a_factorization():
