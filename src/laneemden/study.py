@@ -65,8 +65,8 @@ def inter_level_error(coarse_field: np.ndarray, fine_field: np.ndarray,
 
 
 def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
-              scaling: str = "lambda1", coarse: Optional[Mesh] = None,
-              progress: Optional[Callable[[str], None]] = None) -> List[RateRow]:
+              scaling: str = "lambda1", progress: Optional[Callable[[str], None]] = None,
+              coarse: Optional[Mesh] = None) -> List[RateRow]:
     """Solve at levels 1..j_max+1 and tabulate inter-level errors and rates.
 
     Level j is the j-th uniform refinement of the coarse mesh (by default
@@ -112,10 +112,10 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
                 and sol.fixed_point_residual <= diagnostics.RESIDUAL_PRECONDITION):
             gap = diagnostics.nondegeneracy_gap(
                 mesh, sol, p, quad_degree=config.quad_degree).gap
-        coarse_level, coarse = mesh.level, sol
+        prev_level, prev = mesh.level, sol
         mesh = refine_uniform(mesh)   # the coarse mesh is released here
-        sol = solve(mesh, prolongate(coarse.normalized_field, mesh) if warm_start else None)
-        l2, h1 = inter_level_error(pick(coarse), pick(sol), mesh)
+        sol = solve(mesh, prolongate(prev.normalized_field, mesh) if warm_start else None)
+        l2, h1 = inter_level_error(pick(prev), pick(sol), mesh)
         rows.append(RateRow(
             j=j,
             h_label=2.0 ** -j,
@@ -123,12 +123,12 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
             rate_l2=observed_rate(prev_l2, l2) if prev_l2 is not None else None,
             err_h1=h1,
             rate_h1=observed_rate(prev_h1, h1) if prev_h1 is not None else None,
-            c_h=coarse.c_h,
-            linf=coarse.linf,
+            c_h=prev.c_h,
+            linf=prev.linf,
             gap=gap,
-            residual=coarse.fixed_point_residual,
-            iters=coarse.iterations,
-            unconverged=tuple(level for level, s in ((coarse_level, coarse), (mesh.level, sol))
+            residual=prev.fixed_point_residual,
+            iters=prev.iterations,
+            unconverged=tuple(level for level, s in ((prev_level, prev), (mesh.level, sol))
                               if not s.converged),
         ))
         prev_l2, prev_h1 = l2, h1

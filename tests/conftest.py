@@ -1,5 +1,6 @@
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,13 @@ def weighted_mass_degrees(monkeypatch) -> list:
 
     monkeypatch.setattr(assembly, "assemble_weighted_mass", spy)
     return degrees
+
+
+@pytest.fixture(scope="session")
+def triangle_path() -> Path:
+    """Mesh file of the equilateral triangle of side 1 split into 4 by its
+    edge midpoints: all 6 vertices on the boundary, none interior."""
+    return Path(__file__).parent / "data" / "triangle.mesh"
 
 
 @pytest.fixture(scope="session")

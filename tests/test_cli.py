@@ -1,7 +1,6 @@
 import dataclasses
 import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +29,6 @@ from laneemden.mesh import (
     write_mesh,
 )
 from laneemden.minimizer import MinimizerConfig, solve_extremal
-
-TRIANGLE = Path(__file__).parent / "data" / "triangle.mesh"
 
 # Any text, plus integer and float literals, which arbitrary text rarely hits.
 TOKENS = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr))
@@ -552,10 +549,10 @@ def test_study_without_interior_vertex_at_level_1_is_usage_error(tmp_path, capsy
     assert not out.exists()
 
 
-def test_study_non_positive_gap_warns_and_exits_numerical(tmp_path, capsys):
+def test_study_non_positive_gap_warns_and_exits_numerical(tmp_path, capsys, triangle_path):
     # On the equilateral triangle at p = 11 the gap is -1.08 at L1 and 0.0
     # (indefinite, clipped) at L2: the extremal may be a saddle there.
-    code = main(["study", "--p", "11", "--levels", "2", "--domain", f"mesh:{TRIANGLE}",
+    code = main(["study", "--p", "11", "--levels", "2", "--domain", f"mesh:{triangle_path}",
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_NUMERICAL
     captured = capsys.readouterr()

@@ -1,6 +1,5 @@
 import math
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +19,6 @@ from laneemden.study import (
     rows_to_csv,
     run_study,
 )
-
-TRIANGLE = Path(__file__).parent / "data" / "triangle.mesh"
 
 
 @pytest.fixture(params=["unit-square", "hexagon"])
@@ -249,13 +246,13 @@ def test_run_study_holds_one_level(monkeypatch, coarse):
 
 
 @pytest.mark.parametrize("domain, j_max", [("hexagon", 5), ("triangle", 6)])
-def test_run_study_rates_on_convex_polygons(hexagon_text, domain, j_max):
+def test_run_study_rates_on_convex_polygons(hexagon_text, triangle_path, domain, j_max):
     # The paper's O(h^2) in L2 and O(h) in H1 hold on any convex polygon.
     # Measured at the last two rows: on the 0.3-rad hexagon L2 1.974 and
     # 1.994, H1 1.0014 and 0.9991; on the equilateral triangle of
     # tests/data L2 1.985 and 1.996, H1 1.0037 and 1.0009.
     coarse = (mesh_from_tokens(hexagon_text(0.3).split()) if domain == "hexagon"
-              else read_mesh(TRIANGLE))
+              else read_mesh(triangle_path))
     rows = run_study(4.0, j_max, coarse=coarse)
     assert all(r.gap is not None and r.gap > 0.0 for r in rows)
     for r in rows[-2:]:

@@ -11,7 +11,6 @@ from laneemden.mesh import read_mesh
 from laneemden.study import run_study
 
 ROOT = Path(__file__).resolve().parent.parent
-TRIANGLE = ROOT / "tests" / "data" / "triangle.mesh"
 
 
 def _study_footprint(levels, *flags):
@@ -41,10 +40,10 @@ def test_study_footprint_prints_one_json_line():
     assert record["gap"][0] is None and all(g > 0.0 for g in record["gap"][1:])
 
 
-def test_study_footprint_runs_the_coarse_mesh_of_its_domain():
-    record = _study_footprint(3, "--domain", f"mesh:{TRIANGLE}")
-    assert record["domain"] == f"mesh:{TRIANGLE}"
-    rows = run_study(4.0, 3, coarse=read_mesh(TRIANGLE))
+def test_study_footprint_runs_the_coarse_mesh_of_its_domain(triangle_path):
+    record = _study_footprint(3, "--domain", f"mesh:{triangle_path}")
+    assert record["domain"] == f"mesh:{triangle_path}"
+    rows = run_study(4.0, 3, coarse=read_mesh(triangle_path))
     assert record["c_h"] == [r.c_h for r in rows]
     assert record["iters"] == [r.iters for r in rows]
     assert record["gap"] == [r.gap for r in rows] and all(g > 0.0 for g in record["gap"])
