@@ -2,23 +2,24 @@
 
 Every kernel works corner-major: nodal values are gathered through the
 transpose of ``Mesh.triangles`` into (3, b) arrays, quadrature-point values
-are (nq, b), load blocks (3, nt) and matrix blocks one (nt,) row per corner
-pair, so each pass runs over rows of length nt.  A load is summed into its
-vertices one corner at a time, and a matrix straight into the data array of
-its sparsity pattern (``_pattern``, built for each matrix and kept by
-none), one corner pair at a time, then compacted once: to its nonzeros,
-or to the nonzeros of its interior rows and columns.  Accumulation
-follows the fixed corner order, so results are deterministic.
+are (nq, b), load blocks (3, nt) and matrix blocks one (b,) row per corner
+pair.  A load is summed into its vertices one corner at a time.  A matrix
+is summed on the edge table (``_scatter``; the table is built for each
+matrix and kept by none): its off-diagonal entries into one entry per
+edge, a block at a time, and its diagonal into the vertices one corner
+pair at a time; then only its nonzeros, or the nonzeros of its interior
+rows and columns, are laid out.  Accumulation follows the fixed corner
+order, so results are deterministic.
 
-The quadrature kernels share one loop, ``triangle_integrals``, which
-streams the triangles in the mesh's blocks (``mesh.triangle_blocks``, of
-``TRIANGLE_BLOCK`` triangles): a block's nodal values
-are gathered, evaluated at the points and reduced into its columns of the
+The quadrature kernels stream the triangles in the mesh's blocks
+(``mesh.triangle_blocks``, of ``TRIANGLE_BLOCK`` triangles): a block's
+nodal values are gathered, evaluated at the points and reduced to its
 per-triangle integrals before the next block is gathered, so no (nq, nt)
 array is ever whole.  Every column is computed by the same operations as
-on the whole mesh; each kernel supplies only its integrand and its
-reduction (``_corner_sum`` for a load, a sum for the norm, ``_scatter``
-for the weighted mass).
+on the whole mesh.  The loads and the norm share one loop,
+``triangle_integrals``, and supply only their integrand and their reduction
+(``_corner_sum`` for a load, a sum for the norm); the weighted mass reduces
+each block the same way inside the loop of ``_scatter``.
 
 The small products here are shaped so that OpenBLAS runs them in the
 calling thread: a call it splits across its thread pool leaves the pool's
@@ -162,128 +163,110 @@ def _power(x: np.ndarray, e: float) -> np.ndarray:
         x *= x
 
 
-def _pattern(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P1 sparsity pattern: CSR ``indptr`` and ``indices`` (int32) of the
-    diagonal and both directions of every edge, and the (3, 3, nt) int32
-    slot map, ``slots[i, j, t]`` being the position in ``data`` of the
-    entry (corner i, corner j) of triangle t.
-
-    Row r holds (r, lo) for the edges with hi == r, then (r, r), then
-    (r, hi) for the edges with lo == r; the columns are sorted because the
-    edge table is sorted by (lo, hi).  The edge table and the triangles'
-    indices into it are built here and not kept, and ``_scatter`` drops the
-    slot map once its matrix is summed.
-    """
-    nv = mesh.n_vertices
-    edges = _edges(mesh.triangles, nv)[0]
-    ne = edges.shape[0]
-    lo, hi = edges.T
-    below = np.bincount(hi, minlength=nv)  # entries left of the diagonal
-    above = np.bincount(lo, minlength=nv)  # entries right of it
-    indptr = np.zeros(nv + 1, dtype=np.int32)
-    np.cumsum(below + above + 1, out=indptr[1:])
-    diag = indptr[:-1] + below
-    # Row lo's right part lists its edges in edge order, the first one
-    # being edge cumsum(above)[lo] - above[lo].
-    upper = np.arange(1, ne + 1, dtype=np.int32)
-    upper += (diag - (np.cumsum(above) - above))[lo]
-    # Row hi's left part lists its edges by lo: in their stable order by hi.
-    order = np.argsort(hi, kind="stable")
-    lower = np.empty(ne, dtype=np.int32)
-    lower[order] = (np.arange(ne, dtype=np.int32)
-                    + (indptr[:-1] - (np.cumsum(below) - below))[hi[order]])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[diag] = np.arange(nv)
-    indices[upper] = hi
-    indices[lower] = lo
-
-    t = mesh.triangles
-    tri_edges = _triangle_edges(t, edges, nv)
-    slots = np.empty((3, 3, mesh.n_triangles), dtype=np.int32)
-    for i in range(3):
-        j = (i + 1) % 3
-        e = tri_edges[:, i]  # the edge from corner i to corner j
-        up = t[:, i] < t[:, j]
-        slots[i, i] = diag[t[:, i]]
-        slots[i, j] = np.where(up, upper[e], lower[e])
-        slots[j, i] = np.where(up, lower[e], upper[e])
-    return indptr, indices, slots
-
-
 def _scatter(mesh: Mesh, entries, interior: bool = False) -> sp.csr_matrix:
-    """Sum symmetric per-triangle blocks into a CSR matrix on ``_pattern``.
+    """Sum symmetric per-triangle blocks into a CSR matrix on the edge table.
 
-    ``entries()`` returns, once the pattern is built, the rows (nt,) of the
-    corner pairs of ``_UPPER`` in order, row k the entries (corner i,
-    corner j) of every triangle for (i, j) = ``_UPPER[k]``; it serves (j, i)
-    as well.  Each row is added into ``data`` in place by one
-    ``np.add.at`` through the pattern's slot map: no per-entry index
-    arrays, no sort and no temporary beyond the row.  The rows and the slot
-    map are dropped before one compaction removes the exact zeros (the
-    stiffness couplings across right-triangle hypotenuses; the stored
-    pattern fixes the factorization's ordering) and, when ``interior``, the
-    boundary rows and columns, so that the result is bit for bit
-    ``restrict_interior`` of the full matrix without the full matrix.
+    ``entries(s)`` returns the rows (b,) of the corner pairs of ``_UPPER`` in
+    order for the triangles of one ``triangle_blocks`` slice s, row k the
+    entries (corner i, corner j) for (i, j) = ``_UPPER[k]``; it serves
+    (j, i) as well.  The edge table and the triangles' indices into it are
+    built here and kept by none.  A block's three off-diagonal rows are
+    added into one (ne,) array of edge entries by ``np.add.at`` through the
+    block's edges, and its three diagonal rows are kept whole as (3, nt) and
+    summed into the vertices by ``_corner_sum``.  Only the kept entries are
+    then laid out: exact zeros are dropped (the stiffness couplings across
+    right-triangle hypotenuses; the stored pattern fixes the factorization's
+    ordering) and, when ``interior``, so are the boundary rows and columns,
+    the interior vertices being numbered in order.  Row r holds (r, lo) for
+    the edges with hi == r, then (r, r), then (r, hi) for the edges with
+    lo == r: sorted, since the edge table is sorted by (lo, hi).
+
+    The sums are bit for bit those of one corner pair at a time over the
+    whole mesh.  A vertex sums pair-major, then in triangle order, as such
+    a pass does; that is why the diagonal rows are kept whole.  An edge
+    entry sums at most two terms, since ``validate_mesh`` allows no more
+    triangles per edge, and no block order changes such a sum:
+    0.0 + a = a and a + b = b + a.
     """
-    indptr, indices, slots = _pattern(mesh)
-    data = np.zeros(indices.size)
-    local = entries()
-    for (i, j), b in zip(_UPPER, local):
-        np.add.at(data, slots[i, j], b)
-        if i != j:
-            np.add.at(data, slots[j, i], b)
-    del local, slots
-    keep = data != 0.0
+    nv, nt = mesh.n_vertices, mesh.n_triangles
+    edges = _edges(mesh.triangles, nv)[0]
+    tri_edges = _triangle_edges(mesh.triangles, edges, nv)
+    off = np.zeros(edges.shape[0])
+    diag = np.empty((3, nt))
+    for s in triangle_blocks(nt):
+        local = entries(s)
+        # rows 0, 3, 5 hold the pairs (i, i); rows 1, 4, 2 the sides 01, 12, 20
+        for c, (d, k) in enumerate(((0, 1), (3, 4), (5, 2))):
+            diag[c, s] = local[d]
+            np.add.at(off, tri_edges[s, c], local[k])
+        del local  # before the next block's rows are formed
+    del tri_edges
+    diag = _corner_sum(mesh, diag)
+    keep = off != 0.0
+    lo, hi = edges.T
+    del edges
     if interior:
         inside = ~mesh.is_boundary
-        keep &= inside[indices]
-        keep &= np.repeat(inside, np.diff(indptr))
-    if interior or not keep.all():
-        data = data[keep]
-        indices = indices[keep]
-        kept = np.zeros(keep.size + 1, dtype=indptr.dtype)  # entries kept before each
-        np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
-        indptr = kept[indptr]
-        del kept
+        keep &= inside[lo]
+        keep &= inside[hi]
+        # Vertex v becomes its interior index, the number of interior
+        # vertices before it.
+        number = np.cumsum(inside, dtype=np.int32) - 1
+        lo, hi, diag = number[lo], number[hi], diag[inside]
+    lo, hi = lo[keep], hi[keep]
+    off = off[keep]
     del keep
-    if interior:
-        # Column c becomes its interior index, the number of interior
-        # vertices before it.  A boundary row keeps nothing, so an interior
-        # row ends where the next interior row starts.
-        indices = (np.cumsum(inside, dtype=indices.dtype) - 1)[indices]
-        indptr = np.append(indptr[mesh.interior], indptr[-1])
-    n = indptr.size - 1
+    has = diag != 0.0
+    n = diag.size
+    # Row r holds counts[r] entries: left of the diagonal, on it, right of it.
+    counts = np.empty((n, 3), dtype=np.int32)
+    counts[:, 0] = np.bincount(hi, minlength=n)
+    counts[:, 1] = has
+    counts[:, 2] = np.bincount(lo, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts.sum(axis=1), out=indptr[1:])
+    # The part (0, 1 or 2) of its row that each stored entry is in.
+    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n), counts.ravel())
+    del counts
+    data = np.empty(part.size)
+    indices = np.empty(part.size, dtype=np.int32)
+    data[part == 1] = diag[has]
+    indices[part == 1] = np.flatnonzero(has)
+    del diag, has
+    # Taken row by row, the right parts list the edges in their (lo, hi)
+    # order, and the left parts list them in their stable order by hi.
+    data[part == 2] = off
+    indices[part == 2] = hi
+    order = np.argsort(hi, kind="stable")
+    del hi
+    data[part == 0] = off[order]
+    indices[part == 0] = lo[order]
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def _stiffness_entries(mesh: Mesh) -> np.ndarray:
-    """The closed-form stiffness entries (6, nt) of the corner pairs of
-    ``_UPPER``, from the basis gradients of TRIANGLE_BLOCK triangles at a
-    time, which are not kept."""
-    area = mesh.areas
-    local = np.empty((len(_UPPER), mesh.n_triangles))
-    for s in triangle_blocks(mesh.n_triangles):
-        gx, gy = basis_gradients(mesh, s)
-        for k, (i, j) in enumerate(_UPPER):
-            np.multiply(gx[i] * gx[j] + gy[i] * gy[j], area[s], out=local[k, s])
-    return local
 
 
 def assemble_stiffness(mesh: Mesh, *, interior: bool = False) -> sp.csr_matrix:
     """Galerkin matrix of the Dirichlet form: K_ij = sum_T area grad(phi_i).grad(phi_j).
 
-    The entries are formed after the pattern is built and summed on it pair
-    by pair, in the order of a whole-mesh pass.  With ``interior`` the
-    matrix holds only the interior rows and columns (homogeneous Dirichlet),
-    bit for bit ``restrict_interior(assemble_stiffness(mesh), mesh)``.
+    The closed-form entries are formed from the basis gradients of one
+    block of triangles at a time, which are not kept, and summed on the
+    edge table.  With ``interior`` the matrix holds only the interior rows
+    and columns (homogeneous Dirichlet), bit for bit
+    ``restrict_interior(assemble_stiffness(mesh), mesh)``.
     """
-    return _scatter(mesh, lambda: _stiffness_entries(mesh), interior)
+    area = mesh.areas
+
+    def entries(s):
+        gx, gy = basis_gradients(mesh, s)
+        return [(gx[i] * gx[j] + gy[i] * gy[j]) * area[s] for i, j in _UPPER]
+
+    return _scatter(mesh, entries, interior)
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent mass matrix; local block (area/12) [[2,1,1],[1,2,1],[1,1,2]]."""
     area = mesh.areas
-    return _scatter(mesh, lambda: ((2.0 if i == j else 1.0) / 12.0 * area for i, j in _UPPER))
+    return _scatter(mesh, lambda s: [(2.0 if i == j else 1.0) / 12.0 * area[s]
+                                     for i, j in _UPPER])
 
 
 def assemble_weighted_mass(
@@ -302,10 +285,11 @@ def assemble_weighted_mass(
     # (6, nq) product per block stays in the calling thread; on the whole
     # mesh OpenBLAS threaded a (9, nq) one from about 2^14 triangles on.
     table = np.array([lam[:, i] * lam[:, j] * rule.weights for i, j in _UPPER])
-    # 0**0 == 1, so exponent 0 gives the mass matrix
-    return _scatter(mesh, lambda: triangle_integrals(
-        mesh, table, lambda s: _power(np.abs(point_values(mesh, w, rule, s)), exponent)),
-        interior)
+    area = mesh.areas
+    # 0**0 == 1, so exponent 0 gives the mass matrix; each block is reduced
+    # as ``triangle_integrals`` reduces it
+    return _scatter(mesh, lambda s: table @ _power(np.abs(point_values(mesh, w, rule, s)),
+                                                   exponent) * area[s], interior)
 
 
 def nonlinear_load(mesh: Mesh, u: np.ndarray, p: float, degree: int = 5) -> np.ndarray:

@@ -137,9 +137,9 @@ class Mesh:
         as B, and the errors, the Poisson check and ``rayleigh_quotient``
         read.  On ``build_unit_square(j)`` and its refinements it is bit for
         bit the 5-point matrix of the (2^j - 1)^2 interior grid.  It is
-        summed on the full pattern, which is then compacted to the interior
-        rows and columns in one pass; no full K is formed, and the pattern
-        is dropped."""
+        summed on the edge table, and only its interior nonzeros are laid
+        out: no full K or full pattern is formed, and the table is
+        dropped."""
         from .assembly import assemble_stiffness  # it imports this module
 
         K = assemble_stiffness(self, interior=True)

@@ -396,10 +396,154 @@ def test_mass_matches_coo_oracle(kernel_mesh):
                 _tm_matrix(kernel_mesh, area[:, None, None] * block)) <= 1e-15
 
 
+def test_assembled_pattern_invariants(kernel_mesh):
+    # Full or interior, each matrix stores int32 indices, its columns
+    # strictly increasing in each row, on a COO assembly's pattern less its
+    # exact zeros (the stiffness across hypotenuses, the weight's zeros).
+    m = kernel_mesh
+    w = np.random.default_rng(5).standard_normal(m.n_vertices)
+    w[:m.n_vertices // 2] = 0.0
+    area = m.areas
+    cases = [(assemble_mass(m), _tm_matrix(m, area[:, None, None]
+                                           * (np.ones((3, 3)) + np.eye(3)) / 12.0))]
+    for interior in (False, True):
+        for got, coo in ((assemble_stiffness(m, interior=interior), _tm_stiffness(m)),
+                         (assemble_weighted_mass(m, w, 2.0, interior=interior),
+                          _tm_weighted_mass(m, w, 2.0, 5))):
+            cases.append((got, restrict_interior(coo, m) if interior else coo))
+    assert cases[2][0].nnz < cases[0][0].nnz  # the weight's zeros are dropped
+    for got, want in cases:
+        assert got.indptr.dtype == got.indices.dtype == np.int32
+        rows = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+        assert np.all((np.diff(got.indices) > 0) | (np.diff(rows) > 0))
+        assert np.all(got.data != 0.0)
+        assert _rel(got, want) <= 1e-13
+
+
+# The slot-map sum that the edge-table sum replaced, kept as the bit
+# reference: the whole mesh's (6, nt) entries added one corner pair at a
+# time into the data array of the full pattern, through a (3, 3, nt) map
+# from each triangle's corner pair to its place, then compacted.
+
+def _slot_pattern(mesh):
+    nv = mesh.n_vertices
+    edges = mesh_module._edges(mesh.triangles, nv)[0]
+    ne = edges.shape[0]
+    lo, hi = edges.T
+    below = np.bincount(hi, minlength=nv)
+    above = np.bincount(lo, minlength=nv)
+    indptr = np.zeros(nv + 1, dtype=np.int32)
+    np.cumsum(below + above + 1, out=indptr[1:])
+    diag = indptr[:-1] + below
+    upper = np.arange(1, ne + 1, dtype=np.int32)
+    upper += (diag - (np.cumsum(above) - above))[lo]
+    order = np.argsort(hi, kind="stable")
+    lower = np.empty(ne, dtype=np.int32)
+    lower[order] = (np.arange(ne, dtype=np.int32)
+                    + (indptr[:-1] - (np.cumsum(below) - below))[hi[order]])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[diag] = np.arange(nv)
+    indices[upper] = hi
+    indices[lower] = lo
+    t = mesh.triangles
+    tri_edges = mesh_module._triangle_edges(t, edges, nv)
+    slots = np.empty((3, 3, mesh.n_triangles), dtype=np.int32)
+    for i in range(3):
+        j = (i + 1) % 3
+        e = tri_edges[:, i]
+        up = t[:, i] < t[:, j]
+        slots[i, i] = diag[t[:, i]]
+        slots[i, j] = np.where(up, upper[e], lower[e])
+        slots[j, i] = np.where(up, lower[e], upper[e])
+    return indptr, indices, slots
+
+
+def _slot_scatter(mesh, local, interior=False):
+    indptr, indices, slots = _slot_pattern(mesh)
+    data = np.zeros(indices.size)
+    for (i, j), b in zip(assembly._UPPER, local):
+        np.add.at(data, slots[i, j], b)
+        if i != j:
+            np.add.at(data, slots[j, i], b)
+    keep = data != 0.0
+    if interior:
+        inside = ~mesh.is_boundary
+        keep &= inside[indices]
+        keep &= np.repeat(inside, np.diff(indptr))
+    if interior or not keep.all():
+        data = data[keep]
+        indices = indices[keep]
+        kept = np.zeros(keep.size + 1, dtype=indptr.dtype)
+        np.cumsum(keep, dtype=kept.dtype, out=kept[1:])
+        indptr = kept[indptr]
+    if interior:
+        indices = (np.cumsum(inside, dtype=indices.dtype) - 1)[indices]
+        indptr = np.append(indptr[mesh.interior], indptr[-1])
+    n = indptr.size - 1
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _slot_stiffness_entries(mesh):
+    area = mesh.areas
+    local = np.empty((6, mesh.n_triangles))
+    for s in mesh_module.triangle_blocks(mesh.n_triangles):
+        gx, gy = basis_gradients(mesh, s)
+        for k, (i, j) in enumerate(assembly._UPPER):
+            np.multiply(gx[i] * gx[j] + gy[i] * gy[j], area[s], out=local[k, s])
+    return local
+
+
+def _slot_weighted_mass_entries(mesh, w, exponent):
+    rule = triangle_rule(5)
+    lam = rule.points
+    table = np.array([lam[:, i] * lam[:, j] * rule.weights for i, j in assembly._UPPER])
+    return assembly.triangle_integrals(mesh, table, lambda s: assembly._power(
+        np.abs(assembly.point_values(mesh, w, rule, s)), exponent))
+
+
+def _slot_meshes(hexagon_text):
+    for level in range(6):
+        yield build_unit_square(level)
+    for theta in (0.3, 0.0):
+        m = mesh_from_tokens(hexagon_text(theta).split())
+        for _ in range(5):
+            yield m
+            m = refine_uniform(m)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_edge_table_sum_is_bit_identical_to_slot_map(monkeypatch, hexagon_text, block):
+    # A vertex sums pair-major, then in triangle order, as the slot map
+    # did; an edge sums two terms at most, in any order.  Blocks of 7 cut
+    # every mesh past L1 into many.
+    if block is not None:
+        monkeypatch.setattr(mesh_module, "TRIANGLE_BLOCK", block)
+    for m in _slot_meshes(hexagon_text):
+        w = np.random.default_rng(5).standard_normal(m.n_vertices)
+        zeros = w.copy()
+        zeros[:m.n_vertices // 2] = 0.0
+        mass = [(2.0 if i == j else 1.0) / 12.0 * m.areas for i, j in assembly._UPPER]
+        cases = [(assemble_mass(m), _slot_scatter(m, mass))]
+        for interior in (False, True):
+            cases.append((assemble_stiffness(m, interior=interior),
+                          _slot_scatter(m, _slot_stiffness_entries(m), interior)))
+            for field in (w, zeros):
+                for exponent in (0.0, 2.0, 9.0):
+                    cases.append((
+                        assemble_weighted_mass(m, field, exponent, interior=interior),
+                        _slot_scatter(m, _slot_weighted_mass_entries(m, field, exponent),
+                                      interior)))
+        for got, want in cases:
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_stiffness_assembly_peak_memory():
-    # Pattern (its edge table included), areas and the (6, nt) entries
-    # included, the call peaks near 7.1 times the bytes of K; COO triples
-    # and tocsr take about 18 times.
+    # The sum over the blocks, with the edge table, the (3, nt) diagonal
+    # rows and the areas it computes, peaks near 2.64 times the bytes of K
+    # at L7 (the slot map took 4.9, COO triples and tocsr about 18).
     m = refine_uniform(build_unit_square(6))
     tracemalloc.start()
     try:
@@ -407,23 +551,39 @@ def test_stiffness_assembly_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+    assert peak <= 3.5 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
 
 
-def test_interior_stiffness_peak_memory():
-    # The pattern, the summed data and the (6, nt) entries set the peak at
-    # L8, about 4.23 times the bytes of K_int; assembling the full K and
-    # restricting it took 5.52 times.  The areas are cached first, as on a
-    # solved level.
+def _interior_peak(assemble) -> float:
+    """Traced peak of one interior assembly at L8, areas cached first as on
+    a solved level, over the bytes of the matrix it returns."""
     m = build_unit_square(8)
     m.areas
     tracemalloc.start()
     try:
-        K = m.interior_stiffness
+        A = assemble(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.6 * (K.data.nbytes + K.indices.nbytes + K.indptr.nbytes)
+    return peak / (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
+def test_interior_stiffness_peak_memory():
+    # The layout's stable argsort of the kept edges sets the peak, at about
+    # 2.11 times the bytes of K_int; the slot map took 4.23 and the full K
+    # restricted 5.52.
+    assert _interior_peak(lambda m: m.interior_stiffness) <= 3.0
+
+
+def test_interior_weighted_mass_peak_memory():
+    # The gap's W at p = 11, about 2.17 times its bytes; the slot map over
+    # the whole (6, nt) entries took 3.03.
+    def weighted_mass(m):
+        x, y = m.vertices.T
+        return assemble_weighted_mass(m, np.sin(np.pi * x) * np.sin(np.pi * y), 9.0,
+                                      interior=True)
+
+    assert _interior_peak(weighted_mass) <= 3.0
 
 
 @pytest.mark.parametrize("exponent", [0.0, 2.0, 9.0])

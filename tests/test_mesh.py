@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -598,49 +597,19 @@ def test_replaced_mesh_token_reads_or_raises_mesh_error(tmp_path_factory, hexago
 
 
 @pytest.fixture(params=["square", "hexagon"])
-def pattern_mesh(request, hexagon_text):
+def interior_mesh(request, hexagon_text):
     """The unit square at level 3, or the hexagon rotated by 0.3 refined twice."""
     if request.param == "square":
         return build_unit_square(3)
     return refine_uniform(refine_uniform(mesh_from_tokens(hexagon_text(0.3).split())))
 
 
-def test_interior_cached_read_only(pattern_mesh):
-    idx = pattern_mesh.interior
-    assert pattern_mesh.interior is idx
-    assert np.array_equal(idx, np.flatnonzero(~pattern_mesh.is_boundary))
+def test_interior_cached_read_only(interior_mesh):
+    idx = interior_mesh.interior
+    assert interior_mesh.interior is idx
+    assert np.array_equal(idx, np.flatnonzero(~interior_mesh.is_boundary))
     with pytest.raises(ValueError):
         idx[0] = 0
-
-
-def test_pattern_invariants(pattern_mesh):
-    m = pattern_mesh
-    indptr, indices, slots = assembly._pattern(m)
-    nv, nnz = m.n_vertices, indices.size
-    assert indptr.dtype == indices.dtype == slots.dtype == np.int32
-    assert indptr[0] == 0 and indptr[-1] == nnz
-    assert nnz == nv + 2 * _edges(m.triangles, nv)[0].shape[0]
-    rows = np.repeat(np.arange(nv), np.diff(indptr))
-    # columns strictly increasing within each row, every diagonal present
-    assert np.all((np.diff(indices) > 0) | (np.diff(rows) > 0))
-    assert np.array_equal(rows[indices == rows], np.arange(nv))
-    # every slot in range and at the entry (corner i, corner j)
-    assert slots.shape == (3, 3, m.n_triangles)
-    assert slots.min() >= 0 and slots.max() < nnz
-    c = m.triangles.T
-    for i in range(3):
-        for j in range(3):
-            assert np.array_equal(rows[slots[i, j]], c[i])
-            assert np.array_equal(indices[slots[i, j]], c[j])
-    # the pattern of the summed entries, as a COO assembly would give it
-    ones = sp.coo_matrix((np.ones(9 * m.n_triangles),
-                          (np.repeat(m.triangles, 3, axis=1).ravel(),
-                           np.tile(m.triangles, (1, 3)).ravel())), shape=(nv, nv)).tocsr()
-    assert np.array_equal(ones.indptr, indptr) and np.array_equal(ones.indices, indices)
-    # built for each matrix and cached nowhere: a second build shares no memory
-    for a, b in zip(assembly._pattern(m), (indptr, indices, slots)):
-        assert np.array_equal(a, b) and not np.shares_memory(a, b)
-    assert set(vars(m)) - {"level", "vertices", "triangles", "is_boundary", "parents"} == set()
 
 
 def test_edge_table_built_per_use_and_kept_by_none(monkeypatch, hexagon_text):
@@ -658,16 +627,21 @@ def test_edge_table_built_per_use_and_kept_by_none(monkeypatch, hexagon_text):
     calls.clear()
     validate_mesh(m)  # the edges and their counts, no per-triangle indices
     assert calls == ["_edges"]
-    calls.clear()
-    assembly._pattern(m)
-    assert calls == ["_edges", "_triangle_edges"]
+    w = np.random.default_rng(5).standard_normal(m.n_vertices)
+    for assemble in (assembly.assemble_stiffness, assembly.assemble_mass,
+                     lambda m: assembly.assemble_weighted_mass(m, w, 9.0, interior=True),
+                     lambda m: m.interior_stiffness):
+        calls.clear()
+        assemble(m)  # one table for each matrix
+        assert calls == ["_edges", "_triangle_edges"]
     calls.clear()
     refine_uniform(m)
     assert calls == ["_edges", "_triangle_edges"]
     # the mesh keeps no table, pattern or connectivity copy: only the
-    # longest edge that validate_mesh read
+    # longest edge that validate_mesh read, the areas and the interior
+    # stiffness
     assert set(vars(m)) - {"level", "vertices", "triangles", "is_boundary", "parents"} \
-        == {"h"}
+        == {"h", "areas", "interior_stiffness"}
 
 
 def _whole_array_edges(triangles, nv):

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from laneemden.mesh import read_mesh
+from laneemden.assembly import assemble_weighted_mass
+from laneemden.mesh import build_unit_square, read_mesh
 from laneemden.study import run_study
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +57,25 @@ def test_study_footprint_lazy_is_empty_without_a_factorization():
     # run_study(4, 2) takes one gap, at L2: 9 unknowns, solved by sine transforms
     record = _study_footprint(2)
     assert record["lazy"] == []
+
+
+def test_assembly_footprint_prints_one_json_line_per_level():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "assembly_footprint.py"), "--levels", "3", "4"],
+        capture_output=True, text=True, check=True, timeout=120)
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["level"] for r in records] == [3, 4]
+    assert [r["nt"] for r in records] == [128, 512]
+    for r, mesh in zip(records, (build_unit_square(3), build_unit_square(4))):
+        x, y = mesh.vertices.T
+        W = assemble_weighted_mass(mesh, np.sin(np.pi * x) * np.sin(np.pi * y), 9.0,
+                                   interior=True)
+        for name, A in (("k_int", mesh.interior_stiffness), ("w_int", W)):
+            assert r[f"{name}_bytes"] == A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+        # W keeps the hypotenuse couplings, which are zero in K
+        assert r["w_int_bytes"] > r["k_int_bytes"]
+        for name in ("k_int", "w_int"):
+            assert r[f"{name}_peak_ratio"] >= 1.0 and r[f"{name}_s"] > 0.0
 
 
 def _tool(name):
