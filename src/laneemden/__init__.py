@@ -13,7 +13,7 @@ from .assembly import (
     restrict_interior,
     triangle_rule,
 )
-from .diagnostics import GapReport, nondegeneracy_gap
+from .diagnostics import nondegeneracy_gap
 from .errors import (
     ConfigError,
     DimensionError,
@@ -48,7 +48,7 @@ from .study import (
 
 __all__ = [
     "CgFailure", "CgReport", "ConfigError", "DimensionError", "ExtremalSolution",
-    "GapReport", "LaneEmdenError", "Mesh", "MeshError", "MinimizerConfig",
+    "LaneEmdenError", "Mesh", "MeshError", "MinimizerConfig",
     "NumericsError", "QuadratureRule", "RateRow",
     "assemble_mass", "assemble_stiffness", "assemble_weighted_mass",
     "build_unit_square", "cg_solve", "extend_zero",

@@ -220,17 +220,9 @@ def _run(args) -> int:
     if args.command == "diagnose":
         config = _config_from_args(args)
         mesh = _load_domain(args.domain, args.level)
-        sol = solve_extremal(mesh, config)
-        # An --iters-fixed solve counts as converged whatever its residual.
-        if not sol.converged or sol.fixed_point_residual > RESIDUAL_PRECONDITION:
-            why = ("did not stagnate within --max-iters" if not sol.converged else
-                   f"ended above the gap's residual precondition {RESIDUAL_PRECONDITION}")
-            raise NumericsError(f"level {args.level} {why} (residual "
-                                f"{sol.fixed_point_residual:.3e}); no gap computed")
-        report = nondegeneracy_gap(mesh, sol, args.p, quad_degree=config.quad_degree)
-        print(f"level {report.level}  p {report.p:g}  gap {report.gap:.6e}  "
-              f"positive {report.positive}")
-        return EXIT_OK if report.positive else EXIT_NUMERICAL
+        gap = nondegeneracy_gap(mesh, solve_extremal(mesh, config))
+        print(f"level {mesh.level}  p {args.p:g}  gap {gap:.6e}  positive {gap > 0.0}")
+        return EXIT_OK if gap > 0.0 else EXIT_NUMERICAL
 
     raise ConfigError(f"unknown command {args.command!r}")
 

@@ -15,13 +15,14 @@ times as long to factor.
 
 The edge table is built one way, by ``_edges`` (the sorted unique edges and
 their counts), and ``_triangle_edges`` indexes each triangle's edges into
-it for refinement and the sparsity pattern.  Every pass over the triangles
-streams them in blocks of ``triangle_blocks``.
+it for refinement and for assembly, which sums every matrix on the edge
+table.  Every pass over the triangles streams them in blocks of
+``triangle_blocks``.
 
 A mesh caches only what every solve on it reads: ``interior``, ``areas``
 and ``interior_stiffness`` (and the scalars ``h`` and ``parent_nv``).  The
 kernels gather through ``triangles`` itself, and each assembled matrix
-builds its sparsity pattern and drops it.
+builds its edge table and drops it.
 """
 
 from __future__ import annotations

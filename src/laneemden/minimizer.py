@@ -30,6 +30,7 @@ ANDERSON_DEPTH = 5  # iterates mixed per step of the converged solve
 # 6e-15 rounding direction of a rank-deficient history, and whether it did
 # (one descent step more or less) hung on the linear solve's last bits.
 ANDERSON_RCOND = 1e-12
+RESIDUAL_TOL = 1e-8  # the converged solve's bound on the Euler-Lagrange residual
 
 
 @dataclass
@@ -40,7 +41,6 @@ class MinimizerConfig:
     eta: float = 0.2
     max_iters: int = 400
     quotient_tol: float = 1e-10
-    residual_tol: float = 1e-8
     quad_degree: int = 5
     iters_fixed: Optional[int] = None  # paper-protocol mode: exactly N steps
 
@@ -50,9 +50,8 @@ class MinimizerConfig:
             raise ConfigError(f"p must be finite and > 2, got {self.p}")
         if not 0 < self.eta < 1:
             raise ConfigError(f"eta must be in (0, 1), got {self.eta}")
-        for name in ("quotient_tol", "residual_tol"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.quotient_tol > 0:
+            raise ConfigError(f"quotient_tol must be positive, got {self.quotient_tol}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
         if self.iters_fixed is not None and self.iters_fixed < 1:
@@ -69,6 +68,7 @@ class ExtremalSolution:
     iterations: int
     fixed_point_residual: float   # |K U - F(U)| / |F(U)| on interior nodes
     stop: str                     # "stagnated", "max_iters" or "iters_fixed"
+    config: MinimizerConfig       # the settings it was solved with
 
     @property
     def converged(self) -> bool:
@@ -120,7 +120,7 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
     """Iterate from the flat initial guess until the quotient stagnates.
 
     Stops when the relative quotient change drops below quotient_tol and
-    the Euler-Lagrange residual is below residual_tol (or after exactly
+    the Euler-Lagrange residual is below RESIDUAL_TOL (or after exactly
     iters_fixed steps in paper-protocol mode, which max_iters does not
     cap).  Returns the last iterate, flagged unconverged, if max_iters is
     exhausted: Anderson mixing does not lower the quotient monotonically,
@@ -208,7 +208,7 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
         x, energy, F, residual = evaluate(v)
         quotient = np.sqrt(energy)
         if (not fixed and abs(quotient - prev) <= config.quotient_tol * quotient
-                and residual <= config.residual_tol):
+                and residual <= RESIDUAL_TOL):
             stop = "stagnated"
             break
 
@@ -230,4 +230,5 @@ def solve_extremal(mesh: Mesh, config: MinimizerConfig,
         iterations=iterations,
         fixed_point_residual=residual,
         stop=stop,
+        config=config,
     )

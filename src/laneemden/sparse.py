@@ -207,7 +207,7 @@ def solver(A: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
 def _inverse_iteration(alpha: list, beta: list, tol: float) -> float:
     """Value of the inverse iteration of ``smallest_eig_constrained``, run
     from e1 on the Lanczos tridiagonal T (``alpha`` on the diagonal, ``beta``
-    beside it), or min(alpha[0], 0) when T is not positive definite.
+    beside it), or T's smallest eigenvalue theta_1 when that is not positive.
 
     Step k's iterate is T^-k e1, normalized, so its quotient depends only on
     the moments e1'T^-j e1 = sum_i w_i / theta_i^j, with theta_i the
@@ -218,7 +218,7 @@ def _inverse_iteration(alpha: list, beta: list, tol: float) -> float:
     """
     theta, V = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
     if theta[0] <= 0.0:
-        return min(alpha[0], 0.0)
+        return float(theta[0])
     powers = (theta[0] / theta) ** np.arange(1, 2 * MAX_INVERSE_ITERATIONS + 1)[:, None]
     moments = np.einsum("kj,j->k", powers, V[0] ** 2)
     lam = np.r_[alpha[0], theta[0] * moments[0::2] / moments[1::2]]
@@ -245,8 +245,9 @@ def smallest_eig_constrained(A: sp.spmatrix, B: sp.spmatrix, c: np.ndarray,
     exact constrained minimum once Lanczos has converged, is not what is
     returned: the iteration's value can sit above it (a step cap or a
     false plateau).  theta_1 <= 0 at a check or at the end shows A is not
-    positive definite on the subspace, and the start quotient, clipped to
-    at most 0, is returned.  B must be symmetric positive definite.
+    positive definite on the subspace, and theta_1 is returned: a Ritz
+    value, so at least the constrained minimum.  B must be symmetric
+    positive definite.
     """
     c = np.asarray(c, dtype=np.float64)
     n = _order(A)

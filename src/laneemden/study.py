@@ -107,11 +107,9 @@ def run_study(p: float, j_max: int, config: Optional[MinimizerConfig] = None,
     prev_l2 = prev_h1 = None
     for j in range(1, j_max + 1):
         gap = None
-        if (mesh.interior.size >= 2
-                and mesh.level <= GAP_MAX_LEVEL
-                and sol.fixed_point_residual <= diagnostics.RESIDUAL_PRECONDITION):
-            gap = diagnostics.nondegeneracy_gap(
-                mesh, sol, p, quad_degree=config.quad_degree).gap
+        if (mesh.interior.size >= 2 and mesh.level <= GAP_MAX_LEVEL
+                and diagnostics.why_no_gap(sol) is None):
+            gap = diagnostics.nondegeneracy_gap(mesh, sol)
         prev_level, prev = mesh.level, sol
         mesh = refine_uniform(mesh)   # the coarse mesh is released here
         sol = solve(mesh, prolongate(prev.normalized_field, mesh) if warm_start else None)

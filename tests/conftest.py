@@ -43,6 +43,14 @@ def triangle_path() -> Path:
 
 
 @pytest.fixture(scope="session")
+def lshape_path() -> Path:
+    """Mesh file of the L-shape [0,2]^2 minus [1,2]x[0,1]: its 8 corners on
+    the unit grid, all on the boundary, and its 3 unit squares cut into 6
+    triangles along their southwest-northeast diagonals but the middle one."""
+    return Path(__file__).parent / "data" / "lshape.mesh"
+
+
+@pytest.fixture(scope="session")
 def hexagon_text():
     """Mesh text of the unit regular hexagon fanned around its centre
     (vertex 0, the only interior vertex), rotated by the angle theta."""

@@ -609,7 +609,7 @@ def test_diagnose_unconverged_exit_code(capsys, monkeypatch, max_iters):
     def no_gap(*args, **kwargs):
         raise AssertionError("gap computed for an unconverged solve")
 
-    monkeypatch.setattr("laneemden.cli.nondegeneracy_gap", no_gap)
+    monkeypatch.setattr("laneemden.assembly.assemble_weighted_mass", no_gap)
     code = main(["diagnose", "--p", "4", "--level", "3", "--max-iters", max_iters])
     assert code == EXIT_NUMERICAL
     captured = capsys.readouterr()
@@ -669,7 +669,7 @@ def test_diagnose_fixed_steps_above_residual_precondition(capsys, monkeypatch):
     def no_gap(*args, **kwargs):
         raise AssertionError("gap computed above the residual precondition")
 
-    monkeypatch.setattr("laneemden.cli.nondegeneracy_gap", no_gap)
+    monkeypatch.setattr("laneemden.diagnostics.smallest_eig_constrained", no_gap)
     code = main(["diagnose", "--p", "4", "--level", "3", "--iters-fixed", "5"])
     assert code == EXIT_NUMERICAL
     captured = capsys.readouterr()

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from laneemden import assembly, sparse
+from laneemden import assembly, minimizer, sparse
 from laneemden.errors import ConfigError, DimensionError, NumericsError
 from laneemden.mesh import Mesh, build_unit_square, mesh_from_tokens, prolongate, refine_uniform
 from laneemden.minimizer import (
@@ -28,7 +28,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         MinimizerConfig(p=4.0, iters_fixed=0)
     for bad in ({"p": np.nan}, {"p": np.inf}, {"eta": np.nan},
-                {"quotient_tol": np.nan}, {"residual_tol": np.nan}):
+                {"quotient_tol": np.nan}):
         with pytest.raises(ConfigError):
             MinimizerConfig(**{"p": 4.0, **bad})
 
@@ -336,7 +336,8 @@ def test_underflowing_multiplier_scale_raises_numerics_error():
 def test_solution_derives_converged_and_linf(stop):
     field = np.array([0.0, -3.0, 2.0])
     sol = ExtremalSolution(field=field, normalized_field=field / 3.0, c_h=1.0,
-                           iterations=1, fixed_point_residual=0.5, stop=stop)
+                           iterations=1, fixed_point_residual=0.5, stop=stop,
+                           config=MinimizerConfig(p=4.0))
     assert sol.converged == (stop != "max_iters")
     assert sol.linf == 3.0
 
@@ -494,7 +495,8 @@ def test_rank_deficient_history_at_level2(monkeypatch):
     monkeypatch.setattr(np.linalg, "lstsq", spy)
     m = build_unit_square(2)
     cold = solve_extremal(m, MinimizerConfig(p=11.0))
-    tight = MinimizerConfig(p=11.0, quotient_tol=1e-16, residual_tol=1e-14)
+    monkeypatch.setattr(minimizer, "RESIDUAL_TOL", 1e-14)
+    tight = MinimizerConfig(p=11.0, quotient_tol=1e-16)
     sol = solve_extremal(m, tight, u0=cold.normalized_field)
     assert any(deficient)
     for s in (cold, sol):

@@ -407,14 +407,6 @@ def test_eig_indefinite_on_subspace_reports_nonpositive():
     assert smallest_eig_constrained(A, B, c) <= 0.0
 
 
-def _start_quotient(A, B, c):
-    """x0'Ax0 / x0'Bx0 of the eigensolver's start x0: default_rng(0), projected."""
-    Bc = B @ c
-    x = np.random.default_rng(0).standard_normal(len(c))
-    x -= (x @ Bc) / (c @ Bc) * c
-    return (x @ (A @ x)) / (x @ (B @ x))
-
-
 def _late_indefinite_case():
     """A pencil that Lanczos finds indefinite on the subspace only after its
     first check (8 steps): its 1e-6 B-weight direction has quotient -1e-3."""
@@ -429,9 +421,10 @@ def _late_indefinite_case():
               np.eye(3)[0]), 0),
     (_late_indefinite_case, 2),
 ], ids=["negative definite", "indefinite after a check"])
-def test_eig_indefinite_returns_clipped_start_quotient(monkeypatch, case, checks):
-    # The value is the start quotient clipped to at most 0, whichever check
-    # (or the end of Lanczos) finds T not positive definite.
+def test_eig_indefinite_returns_nonpositive_ritz_value(monkeypatch, case, checks):
+    # The value is T's smallest eigenvalue theta_1 <= 0, whichever check (or
+    # the end of Lanczos) finds it: a Ritz value, so at least the dense
+    # constrained minimum.
     A, B, c = case()
     values = []
     real = sparse._inverse_iteration
@@ -442,9 +435,10 @@ def test_eig_indefinite_returns_clipped_start_quotient(monkeypatch, case, checks
 
     monkeypatch.setattr(sparse, "_inverse_iteration", spy)
     gap = smallest_eig_constrained(A, B, c)
-    assert gap == pytest.approx(min(_start_quotient(A, B, c), 0.0), rel=1e-14, abs=0.0)
-    if checks:  # positive at the first check, clipped at the next
-        assert len(values) == checks and values[0] > 0.0 and values[-1] == gap == 0.0
+    oracle = _dense_constrained_min(A, B, c)
+    assert oracle < 0.0 and oracle * (1.0 + 1e-12) <= gap <= 0.0
+    if checks:  # positive at the first check, not at the next
+        assert len(values) == checks and values[0] > 0.0 and values[-1] == gap
 
 
 def _row_op_inverse_iteration(alpha, beta, tol):
@@ -602,7 +596,7 @@ def _study_l2_gap(monkeypatch, workload, p, config):
 def _hexagon_gap(monkeypatch, hexagon_text):
     calls = _spy_gap_operators(monkeypatch)
     mesh = _hexagon(hexagon_text, 1)
-    diagnostics.nondegeneracy_gap(mesh, solve_extremal(mesh, MinimizerConfig(p=4.0)), 4.0)
+    diagnostics.nondegeneracy_gap(mesh, solve_extremal(mesh, MinimizerConfig(p=4.0)))
     assert len(calls) == 1 and calls[0][0].shape == (7, 7)
     return calls[0], None
 

@@ -3,6 +3,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from laneemden.errors import ConfigError
 from laneemden.mesh import build_unit_square, mesh_from_tokens, read_mesh, refine_uniform
@@ -259,6 +262,58 @@ def test_run_study_rates_on_convex_polygons(hexagon_text, triangle_path, domain,
         assert 1.9 <= r.rate_l2 <= 2.1
         assert 0.95 <= r.rate_h1 <= 1.05
         assert not r.unconverged
+
+
+@st.composite
+def convex_polygons(draw):
+    """A convex polygon, fanned into triangles from its vertex mean: the
+    convex hull of 5-9 points of [-1, 1]^2.  The shape filter: every angle
+    of every fan triangle is at least 10 degrees."""
+    min_angle = 10.0
+    n = draw(st.integers(5, 9))
+    points = np.array(draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                                    min_size=n, max_size=n)))
+    try:
+        ring = points[ConvexHull(points).vertices]  # counter-clockwise
+    except QhullError:  # coincident or collinear points
+        assume(False)
+    centre = ring.mean(axis=0)
+    corners = [np.broadcast_to(centre, ring.shape), ring, np.roll(ring, -1, axis=0)]
+    for i in range(3):
+        a, b = corners[i - 2] - corners[i], corners[i - 1] - corners[i]
+        cos = (a * b).sum(axis=1) / np.hypot(*a.T) / np.hypot(*b.T)
+        assume(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))).min() >= min_angle)
+    nv = len(ring)
+    lines = [f"{nv + 1} {nv}", "%r %r 0" % tuple(centre.tolist()),
+             *("%r %r 1" % (x, y) for x, y in ring.tolist()),
+             *(f"0 {k} {k % nv + 1}" for k in range(1, nv + 1))]
+    return mesh_from_tokens(" ".join(lines).split())
+
+
+@pytest.mark.xfail(strict=True, reason="2 of the 5 polygons are not yet asymptotic in L2 "
+                   "at j = 6: last L2 rates 1.905 and 1.923, still rising")
+@settings(max_examples=5, derandomize=True, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.generate])  # a shrink step costs a whole study
+@given(coarse=convex_polygons())
+def test_run_study_rates_on_random_convex_polygons(coarse):
+    # The paper's hypothesis class.  Measured on 5 unfiltered hulls of 9
+    # uniform points: last L2 rate 1.961-1.995, last H1 rate 0.998-1.001,
+    # smallest gap 0.126.  On the 5 polygons drawn here: last L2 rate
+    # 1.905-1.989, last H1 rate 0.996-1.000, smallest gap 0.073.  The first
+    # polygon's L2 rates at j = 5-7 are 1.714, 1.905 and 1.973.
+    rows = run_study(4.0, 6, coarse=coarse)
+    assert all(r.gap is not None and r.gap > 0.0 for r in rows)
+    assert rows[-1].rate_l2 >= 1.95
+    assert rows[-1].rate_h1 >= 0.99
+
+
+def test_run_study_h1_rate_falls_on_the_l_shape(lshape_path):
+    # The re-entrant corner puts the L-shape outside the paper's convex
+    # polygons.  Measured H1 rates of rows 2-6: 1.173, 0.991, 0.915, 0.865
+    # and 0.822 (the convex fixtures end at >= 0.99); last L2 rate 1.442.
+    rows = run_study(4.0, 6, coarse=read_mesh(lshape_path))
+    assert not any(r.unconverged for r in rows)
+    assert rows[-1].rate_h1 < 0.85
 
 
 def test_p11_rates_in_criterion_2_bounds_once_resolved():
